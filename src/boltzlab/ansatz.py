@@ -30,7 +30,8 @@ from scipy.spatial import cKDTree
 
 from .bump import default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
-from .grids import FieldTag, GridSpec, PhaseField, VSlicedField
+from .grids import (FieldTag, GridSpec, PhaseField, VSlicedField, axis_sum,
+                    eta_dot_v, on_axes)
 
 __all__ = [
     "AnsatzParams",
@@ -297,11 +298,22 @@ def _smear() -> _TubeSmear:
 # ---------------------------------------------------------------------------
 
 def _as_points(x) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(n, 3) rows of the (..., 3) points x and their leading shape."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
     lead = x.shape[:-1]
     return x.reshape(-1, 3), lead
+
+
+def _as_pairs(x, v) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """_as_points of x and v broadcast against each other."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(v))
+    X, lead = _as_points(np.broadcast_to(x, shape))
+    V, _ = _as_points(np.broadcast_to(v, shape))
+    return X, V, lead
 
 
 def _chi(r: np.ndarray) -> np.ndarray:
@@ -310,11 +322,7 @@ def _chi(r: np.ndarray) -> np.ndarray:
 
 def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
     """The tube-family field at (t, x, v); x and v broadcast as (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(x.shape, v.shape)
-    X, lead = _as_points(np.broadcast_to(x, shape))
-    V, _ = _as_points(np.broadcast_to(v, shape))
+    X, V, lead = _as_pairs(x, v)
     out = np.zeros(X.shape[0])
 
     # tubes live on the annulus |v| ~ N2; reject rows that cannot contribute
@@ -592,11 +600,7 @@ def _probe_points(p: AnsatzParams) -> np.ndarray:
 
 def f_r_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
     """Cavity field amp * exp(-beta(t,x)) chi(M|x|) chi(|v|/N)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(x.shape, v.shape)
-    X, lead = _as_points(np.broadcast_to(x, shape))
-    V, _ = _as_points(np.broadcast_to(v, shape))
+    X, V, lead = _as_pairs(x, v)
     cav = _chi(p.M * np.linalg.norm(X, axis=1))
     vel = _chi(np.linalg.norm(V, axis=1) / p.N)
     out = np.zeros(X.shape[0])
@@ -689,13 +693,9 @@ def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
 def transport_term(field: PhaseField) -> PhaseField:
     """v . grad_x f, computed spectrally in x."""
     spec = field.to(FieldTag.Spectral_eta_v)
-    grid = field.grid
-    out = np.zeros_like(spec.data)
-    for a in range(3):
-        eta = grid.eta_axis(a).reshape([-1 if i == a else 1 for i in range(6)])
-        v = grid.v_axis(a).reshape([-1 if i == 3 + a else 1 for i in range(6)])
-        out += (2j * np.pi) * eta * v * spec.data
-    return PhaseField(grid, out, FieldTag.Spectral_eta_v).to(field.tag)
+    out = spec.data * eta_dot_v(field.grid)
+    out *= 2j * np.pi
+    return PhaseField(field.grid, out, FieldTag.Spectral_eta_v).to(field.tag)
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -784,8 +784,7 @@ def _cavity_sheet_fft(p: AnsatzParams, t: float, beta, nx: int, pad: float):
     cell = (2.0 * half / nx) ** 3
     ghat = np.fft.fftn(g) * cell
     freq = np.fft.fftfreq(nx, d=2.0 * half / nx)
-    k2 = (freq[:, None, None] ** 2 + freq[None, :, None] ** 2
-          + freq[None, None, :] ** 2)
+    k2 = axis_sum(lambda a: freq**2)
     d_eta = (1.0 / (2.0 * half)) ** 3
     return g, ghat, k2, cell, d_eta
 
@@ -842,10 +841,8 @@ def f_r_z_norm(p: AnsatzParams, t: float = 0.0, beta=None, nx: int = 64,
     n = g.shape[0]
     freq = np.fft.fftfreq(n, d=(2.0 * pad / p.M) / n)
     for a in range(3):
-        shape = [1, 1, 1]
-        shape[a] = n
-        da = np.real(np.fft.ifftn(ghat * (2j * np.pi) * freq.reshape(shape)) / cell)
-        mag2 += da**2
+        deriv = ghat * (2j * np.pi) * on_axes(freq, (a,), 3)
+        mag2 += np.real(np.fft.ifftn(deriv) / cell) ** 2
     gmag = np.sqrt(mag2)
     x_grad_l2 = math.sqrt(float(np.sum(mag2)) * cell)
     x_sup = float(np.max(g))

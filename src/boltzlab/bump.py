@@ -8,9 +8,14 @@ asserts, and exposes them through two small table-backed objects:
 
   * BumpProfile -- chi(r) = exp(1 - 1/(1 - r^2)) on r < 1, its 1D/2D/3D
     radial Fourier transforms on a logarithmic frequency grid, plane/line
-    marginals, and scalar moments.
+    marginals, and scalar moments.  The marginals are the one table of each
+    kind: the sharpness integral's chord profile is line_marginal and its
+    squared slice profile is plane_marginal(squared=True).
   * TimeCutoff  -- the even plateau window (1 on |t| <= plateau, smooth ramp
     to 0 at plateau + ramp) and its cosine transform.
+
+The ramp is `smoothstep`, the one C-infinity step of the package; the
+norms' plateau windows and dyadic projectors are built from it too.
 
 Fourier convention: f_hat(eta) = integral f(x) exp(-2 pi i x.eta) dx, the same
 unitary convention the spectral grids use, so tables and grid transforms can
@@ -33,6 +38,7 @@ __all__ = [
     "default_bump",
     "default_cutoff",
     "gauss_on",
+    "smoothstep",
 ]
 
 
@@ -53,6 +59,21 @@ def chi(r) -> np.ndarray:
     if np.any(inside):
         q = 1.0 - r[inside] ** 2
         out[inside] = np.exp(1.0 - 1.0 / q)
+    return out
+
+
+def smoothstep(t) -> np.ndarray:
+    """C-infinity monotone step: 0 for t<=0, 1 for t>=1."""
+    t = np.asarray(t, dtype=float)
+    lo = t <= 0.0
+    hi = t >= 1.0
+    mid = ~(lo | hi)
+    out = np.where(hi, 1.0, 0.0)
+    if np.any(mid):
+        tm = t[mid]
+        a = np.exp(-1.0 / tm)
+        b = np.exp(-1.0 / (1.0 - tm))
+        out[mid] = a / (a + b)
     return out
 
 
@@ -210,13 +231,17 @@ class BumpProfile:
         return out
 
     def plane_marginal(self, s, squared: bool = False) -> np.ndarray:
-        """Integral of chi(|(s, u)|) (or chi^2) over u in R^2, as a function of s."""
+        """Integral of chi(|(s, u)|) (or chi^2) over u in R^2, as a function of s.
+
+        The squared table is the slice profile of the sharpness integral.
+        """
         s = np.abs(np.asarray(s, dtype=float))
         table = self._plane_cum[bool(squared)]
         return np.interp(s, self._plane_grid, table, right=0.0)
 
     def line_marginal(self, s, squared: bool = False) -> np.ndarray:
-        """Integral of chi(|(s, u)|) (or chi^2) over u in R^1."""
+        """Integral of chi(|(s, u)|) (or chi^2) over u in R^1: the chord
+        profile of the sharpness integral."""
         s = np.abs(np.asarray(s, dtype=float))
         table = self._line_tables[bool(squared)]
         return np.interp(s, self._line_grid, table, right=0.0)
@@ -267,9 +292,9 @@ def default_bump() -> BumpProfile:
 class TimeCutoff:
     """Even plateau window: 1 on |t| <= plateau, C-infinity ramp to 0.
 
-    The ramp uses the same two-sided exponential step as the smooth dyadic
-    projectors, so theta is identically 1 on the plateau and identically 0
-    beyond plateau + ramp.  hat(a) tabulates the cosine transform
+    The ramp is `smoothstep` run backwards, the step the smooth dyadic
+    projectors use, so theta is identically 1 on the plateau and identically
+    0 beyond plateau + ramp.  hat(a) tabulates the cosine transform
         2 int_0^inf theta(t) cos(2 pi a t) dt
     on [0, a_max] (theta is even, so this is the full Fourier transform).
     """
@@ -290,19 +315,7 @@ class TimeCutoff:
 
     def __call__(self, t) -> np.ndarray:
         t = np.abs(np.asarray(t, dtype=float))
-        u = (t - self.plateau) / self.ramp
-        # falling C-inf step: 1 for u <= 0, 0 for u >= 1
-        out = np.zeros(t.shape)
-        lo = u <= 0.0
-        hi = u >= 1.0
-        mid = ~(lo | hi)
-        out[lo] = 1.0
-        if np.any(mid):
-            um = u[mid]
-            a = np.exp(-1.0 / (1.0 - um))
-            b = np.exp(-1.0 / um)
-            out[mid] = a / (a + b)
-        return out
+        return smoothstep(1.0 - (t - self.plateau) / self.ramp)
 
     def hat(self, a) -> np.ndarray:
         a = np.abs(np.asarray(a, dtype=float))

@@ -31,6 +31,8 @@ from .grids import (
     Storage,
     VSlicedField,
     _apply_axes_phase,
+    axis_sum,
+    on_axes,
 )
 
 logger = logging.getLogger(__name__)
@@ -234,14 +236,9 @@ def _ball_project(spec_shifted: np.ndarray, grid: GridSpec, pad: int,
                   radius: float) -> np.ndarray:
     """Zero spectral content outside |xi| <= radius on the (pad*nv) shifted
     lattice."""
-    r2 = np.zeros(tuple(pad * n for n in grid.nv))
-    for a in range(3):
-        n = pad * grid.nv[a]
-        d = 1.0 / (2.0 * grid.Lv * pad)
-        axis = (np.arange(n) - n // 2) * d
-        sh = [1, 1, 1]
-        sh[a] = n
-        r2 = r2 + (axis**2).reshape(sh)
+    n = [pad * m for m in grid.nv]
+    d = 1.0 / (2.0 * grid.Lv * pad)
+    r2 = axis_sum(lambda a: ((np.arange(n[a]) - n[a] // 2) * d) ** 2)
     mask = r2 <= radius**2
     return spec_shifted * mask
 
@@ -528,15 +525,9 @@ def moments(f) -> tuple[float, np.ndarray, float]:
         raise ValueError("moments expects the physical representation")
     per_v = np.real(np.sum(f.data, axis=(0, 1, 2)))  # (nv)
     mass = float(np.sum(per_v))
-    mom = np.empty(3)
-    v2 = np.zeros(grid.nv)
-    for a in range(3):
-        v = grid.v_axis(a)
-        sh = [1, 1, 1]
-        sh[a] = v.size
-        mom[a] = float(np.sum(per_v * v.reshape(sh)))
-        v2 = v2 + (v**2).reshape(sh)
-    energy = float(np.sum(per_v * v2))
+    mom = np.array([float(np.sum(per_v * on_axes(grid.v_axis(a), (a,), 3)))
+                    for a in range(3)])
+    energy = float(np.sum(per_v * axis_sum(lambda a: grid.v_axis(a) ** 2)))
     return mass * cell, mom * cell, energy * cell
 
 
@@ -549,8 +540,6 @@ def maxwellian(grid: GridSpec, rho: float = 1.0, temperature: float = 1.0,
     amp = rho * (2.0 * np.pi * temperature) ** -1.5
     data = np.full(grid.shape, amp, dtype=np.complex128)
     for a in range(3):
-        v = grid.v_axis(a)
-        sh = [1] * 6
-        sh[3 + a] = v.size
-        data *= np.exp(-((v - mean[a]) ** 2) / (2.0 * temperature)).reshape(sh)
+        prof = np.exp(-((grid.v_axis(a) - mean[a]) ** 2) / (2.0 * temperature))
+        data *= on_axes(prof, (3 + a,), 6)
     return PhaseField(grid, data, FieldTag.Physical_xv)

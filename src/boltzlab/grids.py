@@ -278,7 +278,6 @@ class Trajectory:
 
     times: np.ndarray
     fields: tuple
-    uniform_dt: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -310,6 +309,35 @@ class ScalingTransform:
 
 
 # ---------------------------------------------------------------------------
+# axis-separable symbols
+# ---------------------------------------------------------------------------
+
+def on_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """`arr` reshaped so its dimensions lie on `axes` of an ndim-D block
+    (length 1 on every other axis), ready to broadcast."""
+    shape = [1] * ndim
+    for ax, n in zip(axes, np.shape(arr)):
+        shape[ax] = n
+    return np.reshape(arr, shape)
+
+
+def axis_sum(term: Callable[[int], np.ndarray], ndim: int = 3) -> np.ndarray:
+    """Sum over a = 0, 1, 2 of the per-axis array term(a), broadcast to the
+    3-D (ndim=3) or 6-D (ndim=6) block.
+
+    A 1-D term(a) lies on axis a; a 2-D one (x or eta by v or xi) lies on
+    axes (a, 3 + a).  So axis_sum(lambda a: grid.eta_axis(a) ** 2) is
+    |eta|^2 on the x-frequency block, and eta_dot_v is the 2-D case.
+    """
+    return sum(on_axes(term(a), (a, 3 + a), ndim) for a in range(3))
+
+
+def eta_dot_v(grid: GridSpec) -> np.ndarray:
+    """The transport symbol eta.v on the (eta, v) block, shape grid.shape."""
+    return axis_sum(lambda a: np.outer(grid.eta_axis(a), grid.v_axis(a)), 6)
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -321,9 +349,7 @@ def _edge_phase(n: int) -> np.ndarray:
 
 def _apply_axes_phase(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     for ax in axes:
-        shape = [1] * data.ndim
-        shape[ax] = data.shape[ax]
-        data = data * _edge_phase(data.shape[ax]).reshape(shape)
+        data = data * on_axes(_edge_phase(data.shape[ax]), (ax,), data.ndim)
     return data
 
 
@@ -397,10 +423,7 @@ def free_transport(field: PhaseField, t: float) -> PhaseField:
     spec = field.to(FieldTag.Spectral_eta_v)
     data = spec.data
     for a, ph in enumerate(transport_multiplier(field.grid, t)):
-        shape = [1] * 6
-        shape[a] = ph.shape[0]
-        shape[3 + a] = ph.shape[1]
-        data = data * ph.reshape(shape)
+        data = data * on_axes(ph, (a, 3 + a), 6)
     out = PhaseField(field.grid, data, FieldTag.Spectral_eta_v)
     return out.to(field.tag)
 
@@ -436,10 +459,7 @@ def gaussian_oracle(grid: GridSpec,
         v = grid.v_axis(a)
         arg_x = (x[:, None] - v[None, :] * t - cx[a]) / wx[a]
         prof = np.exp(-0.5 * arg_x**2) * np.exp(-0.5 * ((v[None, :] - cv[a]) / wv[a]) ** 2)
-        shape = [1] * 6
-        shape[a] = x.size
-        shape[3 + a] = v.size
-        data *= prof.reshape(shape)
+        data *= on_axes(prof, (a, 3 + a), 6)
     return PhaseField(grid, data, FieldTag.Physical_xv)
 
 
@@ -470,22 +490,11 @@ def _mass_outside(data: np.ndarray, grid: GridSpec, shrink_x: float, shrink_v: f
     tot = float(np.sum(np.abs(data)))
     if tot == 0.0:
         return 0.0
-    mask = np.zeros(grid.shape, dtype=bool)
-    for a in range(3):
-        x = grid.x_axis(a)
-        bad = np.abs(x) >= grid.Lx * shrink_x
-        if bad.any():
-            sh = [1] * 6
-            sh[a] = x.size
-            mask |= bad.reshape(sh)
-    for a in range(3):
-        v = grid.v_axis(a)
-        bad = np.abs(v) >= grid.Lv * shrink_v
-        if bad.any():
-            sh = [1] * 6
-            sh[3 + a] = v.size
-            mask |= bad.reshape(sh)
-    return float(np.sum(np.abs(data)[mask])) / tot
+    # number of each sample's coordinates that lie in the lost region
+    far = axis_sum(lambda a: np.add.outer(
+        np.abs(grid.x_axis(a)) >= grid.Lx * shrink_x,
+        np.abs(grid.v_axis(a)) >= grid.Lv * shrink_v, dtype=np.int8), 6)
+    return float(np.sum(np.abs(data)[far > 0])) / tot
 
 
 def _refine_axes(data: np.ndarray, axes: Sequence[int], q: int) -> np.ndarray:

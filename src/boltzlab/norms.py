@@ -15,17 +15,21 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from boltzlab.bump import smoothstep
 from boltzlab.grids import (
     FieldTag,
     GridSpec,
     PhaseField,
     Trajectory,
     VSlicedField,
+    _apply_axes_phase,
+    axis_sum,
+    eta_dot_v,
+    on_axes,
     transform,
 )
 
@@ -33,54 +37,8 @@ Field = Union[PhaseField, VSlicedField]
 
 
 # ---------------------------------------------------------------------------
-# meshes and smooth steps
+# smooth windows
 # ---------------------------------------------------------------------------
-
-def eta_abs2(grid: GridSpec) -> np.ndarray:
-    """|eta|^2 on the x-frequency block, shape grid.nx."""
-    out = np.zeros(grid.nx)
-    for a in range(3):
-        e = grid.eta_axis(a)
-        sh = [1, 1, 1]
-        sh[a] = e.size
-        out = out + (e**2).reshape(sh)
-    return out
-
-
-def xi_abs2(grid: GridSpec) -> np.ndarray:
-    out = np.zeros(grid.nv)
-    for a in range(3):
-        e = grid.xi_axis(a)
-        sh = [1, 1, 1]
-        sh[a] = e.size
-        out = out + (e**2).reshape(sh)
-    return out
-
-
-def v_abs2(grid: GridSpec) -> np.ndarray:
-    out = np.zeros(grid.nv)
-    for a in range(3):
-        v = grid.v_axis(a)
-        sh = [1, 1, 1]
-        sh[a] = v.size
-        out = out + (v**2).reshape(sh)
-    return out
-
-
-def smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity monotone step: 0 for t<=0, 1 for t>=1."""
-    t = np.asarray(t, dtype=float)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out = np.where(hi, 1.0, 0.0)
-    if np.any(mid):
-        tm = t[mid]
-        a = np.exp(-1.0 / tm)
-        b = np.exp(-1.0 / (1.0 - tm))
-        out[mid] = a / (a + b)
-    return out
-
 
 def plateau_window(u: np.ndarray, width: float) -> np.ndarray:
     """C-infinity window on [0,1]: 0 at the ends, 1 on [width, 1-width]."""
@@ -104,16 +62,9 @@ def _xhat_slices(field: Field):
                 for k in range(n3):
                     yield (i, j, k), spec.data[:, :, :, i, j, k]
     else:
-        g = field.grid
-        phase = np.ones(g.nx)
-        for a in range(3):
-            k = np.fft.fftfreq(g.nx[a], d=1.0 / g.nx[a]).astype(np.int64)
-            sgn = np.where(k % 2 == 0, 1.0, -1.0)
-            sh = [1, 1, 1]
-            sh[a] = g.nx[a]
-            phase = phase * sgn.reshape(sh)
+        cell = field.grid.cell_x
         for iv, sl in field.iter_v():
-            yield iv, np.fft.fftn(sl) * phase * g.cell_x
+            yield iv, _apply_axes_phase(np.fft.fftn(sl), (0, 1, 2)) * cell
 
 
 def _weighted_l2(field: Field, x_weight2: np.ndarray, v_weight2: np.ndarray) -> float:
@@ -136,8 +87,8 @@ def sobolev_norm(field: Field, s: float, r: float) -> float:
     if not (np.isfinite(s) and np.isfinite(r)):
         raise ValueError("s and r must be finite")
     grid = field.grid
-    xw2 = (1.0 + eta_abs2(grid)) ** s
-    vw2 = (1.0 + v_abs2(grid)) ** r
+    xw2 = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** s
+    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** r
     return _weighted_l2(field, xw2, vw2)
 
 
@@ -150,8 +101,8 @@ def homogeneous_norm(field: Field, s: float, r: float) -> float:
         raise ValueError("s and r must be finite")
     grid = field.grid
     with np.errstate(divide="ignore"):
-        xw2 = eta_abs2(grid) ** s
-        vw2 = v_abs2(grid) ** r
+        xw2 = axis_sum(lambda a: grid.eta_axis(a) ** 2) ** s
+        vw2 = axis_sum(lambda a: grid.v_axis(a) ** 2) ** r
     if s > 0:
         xw2[np.isnan(xw2)] = 0.0
         xw2[0, 0, 0] = 0.0
@@ -163,10 +114,11 @@ def homogeneous_norm(field: Field, s: float, r: float) -> float:
 def apply_bracket_weights(field: PhaseField, s: float, r: float) -> PhaseField:
     """The operator <grad_x>^s <v>^r (bracket symbol in cycles), physical output."""
     spec = field.to(FieldTag.Spectral_eta_v)
-    xw = (1.0 + eta_abs2(field.grid)) ** (s / 2.0)
-    vw = (1.0 + v_abs2(field.grid)) ** (r / 2.0)
+    grid = field.grid
+    xw = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** (s / 2.0)
+    vw = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** (r / 2.0)
     data = spec.data * xw[:, :, :, None, None, None] * vw[None, None, None, :, :, :]
-    out = PhaseField(field.grid, data, FieldTag.Spectral_eta_v)
+    out = PhaseField(grid, data, FieldTag.Spectral_eta_v)
     return out.to(field.tag)
 
 
@@ -175,10 +127,7 @@ def grad_x_magnitude(field: PhaseField) -> PhaseField:
     spec = field.to(FieldTag.Spectral_eta_v)
     acc = np.zeros(field.grid.shape)
     for a in range(3):
-        eta = field.grid.eta_axis(a)
-        sh = [1] * 6
-        sh[a] = eta.size
-        deriv = spec.data * (2j * np.pi) * eta.reshape(sh)
+        deriv = spec.data * (2j * np.pi) * on_axes(field.grid.eta_axis(a), (a,), 6)
         comp = transform(PhaseField(field.grid, deriv, FieldTag.Spectral_eta_v),
                          "x", "inverse")
         acc += np.abs(comp.data) ** 2
@@ -219,7 +168,7 @@ def mixed_norm(field: Field, order: str) -> float:
             return float(m.max())
         return float(np.sum(m**q) * grid.cell_x) ** (1.0 / q)
 
-    vw2 = (1.0 + v_abs2(grid)) ** (r / 2.0)
+    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** (r / 2.0)
 
     if isinstance(field, PhaseField):
         if field.tag is not FieldTag.Physical_xv:
@@ -287,7 +236,8 @@ def lp_dyads(grid: GridSpec, axis: str) -> list[int]:
     listed; the first excluded step function vanishes identically on the grid,
     so the listed projections still telescope exactly to the identity.
     """
-    abs2 = eta_abs2(grid) if axis == "x" else xi_abs2(grid)
+    axis_of = grid.eta_axis if axis == "x" else grid.xi_axis
+    abs2 = axis_sum(lambda a: axis_of(a) ** 2)
     fmax = math.sqrt(float(abs2.max()))
     out = [1]
     k = 1
@@ -305,12 +255,12 @@ def lp_project(field: PhaseField, axis: str, dyad: int) -> PhaseField:
         raise ValueError("axis must be 'x' or 'xi'")
     grid = field.grid
     if axis == "x":
-        mult = _lp_multiplier(eta_abs2(grid), dyad, "x")
+        mult = _lp_multiplier(axis_sum(lambda a: grid.eta_axis(a) ** 2), dyad, "x")
         spec = field.to(_tag_with_x_spectral(field.tag))
         data = spec.data * mult[:, :, :, None, None, None]
         out = PhaseField(grid, data, spec.tag)
     else:
-        mult = _lp_multiplier(xi_abs2(grid), dyad, "xi")
+        mult = _lp_multiplier(axis_sum(lambda a: grid.xi_axis(a) ** 2), dyad, "xi")
         spec = field.to(_tag_with_v_spectral(field.tag))
         data = spec.data * mult[None, None, None, :, :, :]
         out = PhaseField(grid, data, spec.tag)
@@ -398,17 +348,9 @@ def xsb_norm(traj: Trajectory, s: float, b: float, cutoff_width: float = 0.25) -
     fhat = np.fft.fft(stack, axis=0) * dt
     tau = np.fft.fftfreq(nt, d=dt)
 
-    etav = np.zeros(grid.nx + grid.nv)
-    for a in range(3):
-        e = grid.eta_axis(a)
-        v = grid.v_axis(a)
-        sh = [1] * 6
-        sh[a] = e.size
-        sh[3 + a] = v.size
-        etav = etav + np.outer(e, v).reshape(sh)
-
-    xw2 = (1.0 + eta_abs2(grid)) ** s
-    vw2 = (1.0 + v_abs2(grid)) ** s
+    etav = eta_dot_v(grid)
+    xw2 = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** s
+    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** s
     acc = 0.0
     for k in range(nt):  # stream over tau to bound memory
         mod2 = (1.0 + (tau[k] + etav) ** 2) ** b
@@ -417,58 +359,3 @@ def xsb_norm(traj: Trajectory, s: float, b: float, cutoff_width: float = 0.25) -
     dtau = 1.0 / T
     return math.sqrt(acc * dtau * grid.cell_eta * grid.cell_v)
 
-
-# ---------------------------------------------------------------------------
-# NormSpec dispatcher
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A named norm with parameters; evaluate() dispatches to the functions above."""
-
-    kind: str
-    params: tuple
-
-    @classmethod
-    def sobolev(cls, s: float, r: float) -> "NormSpec":
-        if not (np.isfinite(s) and np.isfinite(r)):
-            raise ValueError("s and r must be finite")
-        return cls("sobolev", (float(s), float(r)))
-
-    @classmethod
-    def mixed(cls, order: str) -> "NormSpec":
-        parse_mixed_order(order)  # validate eagerly
-        return cls("mixed", (order,))
-
-    @classmethod
-    def z(cls, M: float) -> "NormSpec":
-        if not M >= 1:
-            raise ValueError("Z norm requires M >= 1")
-        return cls("z", (float(M),))
-
-    @classmethod
-    def spacetime(cls, q: float, p: float) -> "NormSpec":
-        if not (q >= 1 and p >= 1):
-            raise ValueError("exponents must lie in [1, inf]")
-        return cls("spacetime", (float(q), float(p)))
-
-    @classmethod
-    def xsb(cls, s: float, b: float, cutoff_width: float = 0.25) -> "NormSpec":
-        if not (np.isfinite(s) and np.isfinite(b)):
-            raise ValueError("s and b must be finite")
-        if not 0 < cutoff_width <= 0.5:
-            raise ValueError("cutoff width must lie in (0, 1/2]")
-        return cls("xsb", (float(s), float(b), float(cutoff_width)))
-
-    def evaluate(self, obj) -> float:
-        if self.kind == "sobolev":
-            return sobolev_norm(obj, *self.params)
-        if self.kind == "mixed":
-            return mixed_norm(obj, *self.params)
-        if self.kind == "z":
-            return z_norm(obj, *self.params)
-        if self.kind == "spacetime":
-            return spacetime_norm(obj, *self.params)
-        if self.kind == "xsb":
-            return xsb_norm(obj, *self.params)
-        raise ValueError(f"unknown norm kind {self.kind!r}")

@@ -16,11 +16,12 @@ remaining factors are radial in eta and eta2, so a rotation taking e_j to
 e_k maps the j-th integrand onto the k-th exactly.  The integral therefore
 reduces to J times a single tube-frame integral over four bounded
 coordinates (eta2 parallel/perpendicular split and v2 parallel/in-plane
-components), with the ball-ball correlation, the chord profile of the bump,
-and the window-smeared slice profile tabulated once.  The same reduction
-backs both the product Gauss rule and the stratified Monte-Carlo fallback
-(tube strata being identical, stratification happens in the reduced
-coordinates).
+components), with the ball-ball correlation and the window-smeared slice
+profile tabulated once.  The chord profile is the bump's line marginal and
+the slice profile its squared plane marginal, both read from the
+BumpProfile tables.  The same reduction backs both the product Gauss rule
+and the stratified Monte-Carlo fallback (tube strata being identical,
+stratification happens in the reduced coordinates).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import TubeFamily, _is_dyadic
+from .ansatz import TubeFamily, _as_pairs, _is_dyadic
 from .bump import BumpProfile, TimeCutoff, default_bump, default_cutoff, gauss_on
 
 __all__ = [
@@ -115,11 +116,7 @@ class SharpnessFunctions:
                       * self.bump.chi(np.linalg.norm(v, axis=-1) / self.N))
 
     def psi_hat(self, eta2, v2) -> np.ndarray:
-        eta2, v2 = np.broadcast_arrays(np.asarray(eta2, dtype=float),
-                                       np.asarray(v2, dtype=float))
-        batch = eta2.shape[:-1]
-        e2 = eta2.reshape(-1, 3)
-        w2 = v2.reshape(-1, 3)
+        e2, w2, batch = _as_pairs(eta2, v2)
         out = np.zeros(e2.shape[0])
         speed = np.linalg.norm(w2, axis=1)
         outer = math.hypot(1.1 * self.N2, 1.0 / self.M2)
@@ -183,35 +180,12 @@ def _ball_correlation(M1: float, Mx: float, n_r: int = 385):
     return r, vals
 
 
-@lru_cache(maxsize=1)
-def _chord_profile(n: int = 257):
-    """L(u) = int chi(sqrt(u^2 + t^2)) dt, the 1D chord of the 2D bump."""
-    b = default_bump()
-    u = np.linspace(0.0, 1.0, n)
-    t, wt = gauss_on(-1.0, 1.0, 128)
-    vals = b.chi(np.sqrt(u[:, None] ** 2 + t[None, :] ** 2)) @ wt
-    return u, vals
-
-
-@lru_cache(maxsize=1)
-def _slice_sq_profile(n: int = 257):
-    """S(tau) = 2 pi int chi(sqrt(tau^2 + rho^2))^2 rho drho (plane slices
-    of the squared unit bump)."""
-    b = default_bump()
-    tau = np.linspace(0.0, 1.0, n)
-    rho, wr = gauss_on(0.0, 1.0, 128)
-    vals = 2.0 * np.pi * (
-        b.chi(np.sqrt(tau[:, None] ** 2 + rho[None, :] ** 2)) ** 2
-        @ (wr * rho))
-    return tau, vals
-
-
 def _window_table(cutoff: TimeCutoff, q_max: float, c_max: float,
                   n_q: int = 1153, n_c: int = 65):
-    """V(q, c) = int_{-1}^{1} S(tau) theta_hat(q - c tau) dtau."""
-    tg, sg = _slice_sq_profile()
+    """V(q, c) = int_{-1}^{1} S(tau) theta_hat(q - c tau) dtau, with S the
+    squared plane marginal of the bump (its plane slices)."""
     tau, wt = gauss_on(-1.0, 1.0, 96)
-    s_vals = np.interp(np.abs(tau), tg, sg)
+    s_vals = default_bump().plane_marginal(tau, squared=True)
     q = np.linspace(-q_max, q_max, n_q)
     c = np.linspace(0.0, max(c_max, 1e-9), n_c)
     args = q[:, None, None] - c[None, :, None] * tau[None, None, :]
@@ -239,7 +213,7 @@ class _ReducedIntegrand:
     z  = M2 * (v2 perpendicular component along the eta2 cross-plane axis)
 
     Value: chi(u) chi(b) b chi(w) L(z) C(|eta2|) V(q, |eta2| N) with
-    q = u (1 + w/10) + b z.  The full integral is
+    q = u (1 + w/10) + b z and L the line marginal (chord) of the bump.  The full integral is
         I = (pi/5) (M2 N2) (M1 Mx)^(-3/2) * G,  G = int of the above,
     after the exact J-fold tube reduction and the closed-form eliminations
     of the v ball (slice profile), the second v2 perpendicular coordinate
@@ -252,7 +226,6 @@ class _ReducedIntegrand:
         mx = max(M1, M2)
         self.prefactor = math.pi / 5.0 * (M2 * N2) * (M1 * mx) ** -1.5
         self.corr_r, self.corr_v = _ball_correlation(M1, mx)
-        self.chord_u, self.chord_v = _chord_profile()
         c_max = N * min(math.hypot(1.0 / N2, M2), M1 + mx) * 1.0001
         self.q_grid, self.c_grid, self.table = _window_table(
             default_cutoff(), q_max=2.3, c_max=c_max)
@@ -260,24 +233,15 @@ class _ReducedIntegrand:
         self.dq = self.q_grid[1] - self.q_grid[0]
         self.dc = self.c_grid[1] - self.c_grid[0]
 
-    def _eta2_factor(self, u, b):
-        """chi(u) chi(b) b C(r) and the table ordinate c = r N, shapes
-        (len(u), len(b))."""
-        r = np.sqrt((u[:, None] / self.N2) ** 2 + (self.M2 * b[None, :]) ** 2)
-        corr = np.interp(r, self.corr_r, self.corr_v, right=0.0)
-        fac = (self.bump.chi(np.abs(u))[:, None]
-               * (self.bump.chi(b) * b)[None, :] * corr)
-        return fac, r * self.N
-
     def gauss(self, n: int) -> float:
         u, wu = gauss_on(-1.0, 1.0, n)
         b, wb = gauss_on(0.0, 1.0, n)
         w, ww = gauss_on(-1.0, 1.0, n)
         z, wz = gauss_on(-1.0, 1.0, n)
-        fac_ub, c_ub = self._eta2_factor(u, b)
+        fac_ub, c_ub = self._eta2_factor_points(u[:, None], b[None, :])
         fac_ub = fac_ub * wu[:, None] * wb[None, :]
         fw = self.bump.chi(np.abs(w)) * ww
-        fz = np.interp(np.abs(z), self.chord_u, self.chord_v) * wz
+        fz = self.bump.line_marginal(z) * wz
         chunk = max(1, _EVAL_BLOCK // (n * n * n))
         total = 0.0
         for a in range(0, n, chunk):
@@ -293,12 +257,14 @@ class _ReducedIntegrand:
     def _point_values(self, u, b, w, z):
         fac_ub, c = self._eta2_factor_points(u, b)
         fw = self.bump.chi(np.abs(w))
-        fz = np.interp(np.abs(z), self.chord_u, self.chord_v)
+        fz = self.bump.line_marginal(z)
         q = u * (1.0 + w / 10.0) + b * z
         return fac_ub * fw * fz * _bilinear(self.table, self.q0, self.dq,
                                             self.dc, q, c)
 
     def _eta2_factor_points(self, u, b):
+        """chi(u) chi(b) b C(r) and the table ordinate c = r N, with u and b
+        broadcast against each other."""
         r = np.sqrt((u / self.N2) ** 2 + (self.M2 * b) ** 2)
         corr = np.interp(r, self.corr_r, self.corr_v, right=0.0)
         fac = self.bump.chi(np.abs(u)) * self.bump.chi(b) * b * corr

@@ -1,11 +1,8 @@
-"""Small shared helpers: thread capping, deterministic reductions, seeding."""
+"""Thread capping, run before numpy is imported."""
 
 from __future__ import annotations
 
 import os
-import zlib
-
-import numpy as np
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -19,8 +16,10 @@ _THREAD_VARS = (
 def apply_thread_cap() -> int | None:
     """Honor the LAB_THREADS environment variable by capping BLAS/OMP pools.
 
-    Returns the cap, or None when the variable is unset/invalid.  Must run
-    before heavy numpy work to take effect reliably.
+    Sets each BLAS/OpenMP thread variable the environment does not already
+    set.  The pools read them once, when numpy is first imported, so this
+    module imports no numpy and the package calls it before anything else.
+    Returns the cap, or None when the variable is unset/invalid.
     """
     raw = os.environ.get("LAB_THREADS")
     if not raw:
@@ -31,46 +30,4 @@ def apply_thread_cap() -> int | None:
         return None
     for var in _THREAD_VARS:
         os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except Exception:
-        pass
     return n
-
-
-def tree_sum(values: np.ndarray) -> float:
-    """Pairwise (tree-ordered) sum: deterministic across runs and BLAS configs."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        n = a.size
-        half = n // 2
-        folded = a[:half] + a[half : 2 * half]
-        if n % 2:
-            folded = np.append(folded, a[-1])
-        a = folded
-    return float(a[0])
-
-
-def rng_for(seed: int | None, *stream: str) -> np.random.Generator:
-    """Independent generator for a named stream, reproducible from one seed."""
-    if seed is None:
-        return np.random.default_rng()
-    # Python's hash() is salted per process; use a stable digest for the keys.
-    keys = tuple(zlib.crc32(s.encode()) for s in stream)
-    ss = np.random.SeedSequence(seed, spawn_key=keys)
-    return np.random.default_rng(ss)
-
-
-def loglog_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope and intercept of log(y) vs log(x); needs >= 3 points."""
-    x = np.log(np.asarray(xs, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
-    if x.size < 3:
-        raise ValueError("need at least 3 points for a slope fit")
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(coef[1])

@@ -38,6 +38,7 @@ from boltzlab.bump import default_bump, gauss_on
 from boltzlab.collision import CollisionConfig, SphereQuadrature
 from boltzlab.grids import GridSpec
 from boltzlab.norms import z_norm
+from boltzlab.sharpness import sharpness_functions
 
 
 @pytest.fixture(scope="module")
@@ -627,3 +628,29 @@ class TestBilinearFactors:
         assert 0 < bm <= 1 and 0 < bn <= 1
         if a <= b:
             assert bm == pytest.approx(math.sqrt(2.0 ** (a - b)))
+
+
+# ---------------------------------------------------------------------------
+# input validation shared by every pointwise evaluator
+# ---------------------------------------------------------------------------
+
+_NAN_POINT = [np.nan, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda p: rho_b_eval(p, 0.0, _NAN_POINT), id="rho_b_eval"),
+    pytest.param(lambda p: f_b_eval(p, 0.0, _NAN_POINT, [p.N2, 0.0, 0.0]),
+                 id="f_b_eval-x"),
+    pytest.param(lambda p: f_b_eval(p, 0.0, np.zeros(3), _NAN_POINT),
+                 id="f_b_eval-v"),
+    pytest.param(lambda p: rho_r_eval(p, 0.0, _NAN_POINT), id="rho_r_eval"),
+    pytest.param(lambda p: f_r_eval(p, 0.0, _NAN_POINT, np.zeros(3)),
+                 id="f_r_eval"),
+    pytest.param(lambda p: BetaCache(p, nt=2, nx=2)(p.t_star, _NAN_POINT),
+                 id="BetaCache"),
+    pytest.param(lambda p: sharpness_functions(4, 4, None, 8).psi_hat(
+        _NAN_POINT, [8.0, 0.0, 0.0]), id="psi_hat"),
+])
+def test_non_finite_points_rejected(p4, evaluate):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(p4)

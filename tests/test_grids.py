@@ -15,6 +15,7 @@ from boltzlab import (
     rescale,
     transform,
 )
+from boltzlab.grids import axis_sum, eta_dot_v, on_axes
 
 
 def small_grid():
@@ -50,6 +51,35 @@ class TestGridSpec:
             GridSpec((64, 64, 64), (64, 64, 64), 1.0, 1.0)
         # VSliced storage is exempt
         GridSpec((64, 64, 64), (64, 64, 64), 1.0, 1.0, storage=Storage.VSliced)
+
+
+class TestAxisSymbols:
+    # nx != nv and no two axis lengths equal, so an axis-order slip shows
+    GRID = GridSpec((2, 4, 8), (16, 32, 1), Lx=1.5, Lv=3.0)
+
+    def test_abs2_matches_meshgrid(self):
+        g = self.GRID
+        for axis, shape in ((g.eta_axis, g.nx), (g.xi_axis, g.nv), (g.v_axis, g.nv)):
+            mesh = np.meshgrid(*[axis(a) for a in range(3)], indexing="ij")
+            got = axis_sum(lambda a: axis(a) ** 2)
+            assert got.shape == shape
+            np.testing.assert_array_equal(got, mesh[0]**2 + mesh[1]**2 + mesh[2]**2)
+
+    def test_eta_dot_v_matches_meshgrid(self):
+        g = self.GRID
+        mesh = np.meshgrid(*[g.eta_axis(a) for a in range(3)],
+                           *[g.v_axis(a) for a in range(3)], indexing="ij")
+        got = eta_dot_v(g)
+        assert got.shape == g.shape
+        np.testing.assert_array_equal(
+            got, mesh[0] * mesh[3] + mesh[1] * mesh[4] + mesh[2] * mesh[5])
+
+    def test_on_axes_broadcasts_one_axis(self):
+        g = self.GRID
+        v = g.v_axis(1)
+        assert on_axes(v, (4,), 6).shape == (1, 1, 1, 1, 32, 1)
+        block = np.ones(g.shape) * on_axes(v, (4,), 6)
+        np.testing.assert_array_equal(block[1, 3, 7, 15, :, 0], v)
 
 
 class TestTransforms:

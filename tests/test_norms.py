@@ -15,14 +15,13 @@ from boltzlab.grids import (
     Trajectory,
     VSlicedField,
     Storage,
+    axis_sum,
     free_transport,
     gaussian_oracle,
     rescale,
 )
 from boltzlab.norms import (
-    NormSpec,
     apply_bracket_weights,
-    eta_abs2,
     homogeneous_norm,
     lp_dyads,
     lp_project,
@@ -30,7 +29,6 @@ from boltzlab.norms import (
     plateau_window,
     sobolev_norm,
     spacetime_norm,
-    v_abs2,
     xsb_norm,
     z_norm,
 )
@@ -230,7 +228,7 @@ class TestLittlewoodPaley:
         g = self.fine_grid()
         f = random_field(g, seed=43)
         spec = f.to(FieldTag.Spectral_eta_v)
-        r = np.sqrt(eta_abs2(g))
+        r = np.sqrt(axis_sum(lambda a: g.eta_axis(a) ** 2))
         mask = ((r >= 3.4) & (r <= 4.6)).astype(float)
         conc = PhaseField(g, spec.data * mask[:, :, :, None, None, None],
                           FieldTag.Spectral_eta_v)
@@ -282,6 +280,12 @@ class TestSpacetime:
         snap = spacetime_norm(Trajectory(np.array([0.0]), (f,)), np.inf, 3.0)
         got = spacetime_norm(tr, 2.0, 3.0)
         assert abs(got - T ** (1 / 2.0) * snap) < 1e-10 * snap
+
+    def test_exponents_below_one_rejected(self):
+        f = random_field(small_grid(), seed=53)
+        tr = Trajectory(np.array([0.0]), (f,))
+        with pytest.raises(ValueError, match=r"\[1, inf\]"):
+            spacetime_norm(tr, 0.5, 2.0)
 
 
 def _free_gaussian_trajectory(grid, cx, cv, wx, wv, T=0.4, nt=9):
@@ -371,23 +375,10 @@ class TestXsb:
         with pytest.raises(ValueError, match="window too short"):
             xsb_norm(tr, 0.0, 0.6, cutoff_width=0.25)  # 2 taper samples < 4
 
-
-class TestNormSpec:
-    def test_dispatch_matches_functions(self):
-        f = random_field(small_grid(), seed=81)
-        assert NormSpec.sobolev(0.5, 1.0).evaluate(f) == sobolev_norm(f, 0.5, 1.0)
-        assert NormSpec.mixed("Lv1_LxInf").evaluate(f) == mixed_norm(f, "Lv1_LxInf")
-        assert NormSpec.z(2.0).evaluate(f) == z_norm(f, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec.z(0.9)
-        with pytest.raises(ValueError):
-            NormSpec.mixed("bogus")
-        with pytest.raises(ValueError):
-            NormSpec.spacetime(0.5, 2.0)
-        with pytest.raises(ValueError):
-            NormSpec.xsb(0.5, 0.6, cutoff_width=0.8)
+    def test_cutoff_width_above_half_rejected(self):
+        tr = self._traj(nt=8)
+        with pytest.raises(ValueError, match=r"\(0, 1/2\]"):
+            xsb_norm(tr, 0.5, 0.6, cutoff_width=0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,7 @@ def _vdilation_field(grid, seed, v_sigma=2.0):
     shrink factor 4 (too narrow) against box truncation (too wide)."""
     rng = np.random.default_rng(seed)
     X = _windowed_trig_x(grid, rng)
-    G = np.exp(-0.5 * v_abs2(grid) / v_sigma**2)
+    G = np.exp(-0.5 * axis_sum(lambda a: grid.v_axis(a) ** 2) / v_sigma**2)
     data = X[:, :, :, None, None, None] * G[None, None, None, :, :, :]
     return PhaseField(grid, data, FieldTag.Physical_xv)
 

@@ -133,6 +133,12 @@ class TestIntegral:
         assert val == pytest.approx(14.1713, rel=2e-3)
         assert 0.2 < val / 32.0 < 5.0
 
+    def test_pinned_to_table_accuracy(self):
+        # 14.171269 comes from direct chord and slice quadratures; the bump's
+        # line/plane marginal tables agree with those to 8e-7 and 2e-8, so
+        # reading them moves the value only at table accuracy
+        assert sharpness_integral(4, 4, None, 8) == pytest.approx(14.171269, rel=1e-5)
+
     def test_normalization_factor_exact(self, f448):
         raw = sharpness_integral(4, 4, None, 8, normalized=False)
         norm = sharpness_integral(4, 4, None, 8)
