@@ -31,7 +31,7 @@ from scipy.spatial import cKDTree
 from .bump import default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
 from .grids import (FieldTag, GridSpec, PhaseField, VSlicedField, axis_sum,
-                    eta_dot_v, on_axes)
+                    eta_dot_v, lattice_read, lattice_stencil, on_axes)
 
 __all__ = [
     "AnsatzParams",
@@ -275,11 +275,8 @@ class _TubeSmear:
         tau = abs(float(tau))
         if tau > tau_grid[-1] + 1e-12:
             raise ValueError("smear table tau out of range")
-        pos = min(np.searchsorted(tau_grid, tau), len(tau_grid) - 1)
-        lo = max(pos - 1, 0)
-        span = tau_grid[pos] - tau_grid[lo]
-        lam = 0.0 if span == 0.0 else (tau - tau_grid[lo]) / span
-        return (1.0 - lam) * table[:, lo] + lam * table[:, pos]
+        stencil = lattice_stencil(np.array([[tau]]), 0.0, tau_grid[1], tau_grid.shape)
+        return lattice_read(table, stencil)[:, 0]
 
     def psi2_at(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         return self.c2_grid, self._blend(self.psi2_table, self.tau2_grid, tau)
@@ -423,15 +420,8 @@ def rho_b_radial(p: AnsatzParams, t: float, r, n_angle: int = 96) -> np.ndarray:
 def rho_r_eval(p: AnsatzParams, t: float, x, beta=None) -> np.ndarray:
     """Velocity average of the cavity field: closed form, no grid."""
     X, lead = _as_points(x)
-    bump = default_bump()
-    cav = _chi(p.M * np.linalg.norm(X, axis=1))
-    out = np.zeros(X.shape[0])
-    mask = cav > 0.0
-    if np.any(mask):
-        b = _beta_on(p, t, X[mask], beta)
-        out[mask] = np.exp(-b) * cav[mask]
-    scale = p.amp_r * p.N**3 * bump.integral_3d
-    return (scale * out).reshape(lead)
+    scale = p.amp_r * p.N**3 * default_bump().integral_3d
+    return (scale * _cavity_profile(p, t, X, beta)).reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +432,9 @@ def beta_eval(p: AnsatzParams, t: float, x, cache: "BetaCache | None" = None,
               rtol: float = 1e-5) -> np.ndarray:
     """beta(t, x) = int_0^t rho_b(t0, x) dt0 (<= 0 on [t_star, 0]).
 
-    With a cache, interpolates; without, integrates rho_b directly with a
-    nested Gauss rule and verifies convergence.
+    With a cache, interpolates, clamping x to the cache box coordinatewise
+    (see BetaCache); without, integrates rho_b directly with a nested Gauss
+    rule and verifies convergence.
     """
     if not p.t_star - 1e-12 <= t <= 1e-12:
         raise ValueError("attenuation time must lie in [t_star, 0]")
@@ -478,13 +469,29 @@ def _beta_on(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
     return beta(t, X)
 
 
+def _cavity_profile(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
+    """exp(-beta(t, x)) chi(M|x|) at the (n, 3) points X; beta is evaluated
+    only where the cavity is nonzero."""
+    cav = _chi(p.M * np.linalg.norm(X, axis=1))
+    out = np.zeros(X.shape[0])
+    mask = cav > 0.0
+    if np.any(mask):
+        out[mask] = np.exp(-_beta_on(p, t, X[mask], beta)) * cav[mask]
+    return out
+
+
 class BetaCache:
-    """Attenuation exponent on a (t, x) lattice with tri/linear interpolation.
+    """Attenuation exponent on a (t, x) lattice, read multilinearly in (t, x).
 
     The lattice covers [t_star, 0] x [-R, R]^3 with R a small margin past the
     cavity support radius 1/M (beta is only ever needed where the cavity
     profile is nonzero).  Each time interval is integrated with a short Gauss
     rule and accumulated backward from beta(0) = 0.
+
+    Reads clamp: each coordinate of x is clipped to [-R, R] on its own (the
+    box, not the ball |x| <= R), so a point outside the box reads the box
+    point nearest to it.  Every consumer multiplies by the cavity profile,
+    which vanishes there, but diagnostics read the cache past the box.
 
     mode="radial" (default) evaluates the angular-averaged density and fills
     the lattice radially; mode="exact" sums all J tubes at every lattice
@@ -539,24 +546,15 @@ class BetaCache:
         if not p.t_star - 1e-9 <= t <= 1e-9:
             raise ValueError("attenuation time must lie in [t_star, 0]")
         X, lead = _as_points(x)
-        # linear in t
-        tt = np.clip(t, p.t_star, 0.0)
-        k = min(int((tt - p.t_star) / (0.0 - p.t_star) * (self.nt - 1)),
-                self.nt - 2)
-        lam = (tt - self.t_nodes[k]) / (self.t_nodes[k + 1] - self.t_nodes[k])
-        slab = (1.0 - lam) * self.table[k] + lam * self.table[k + 1]
-        # trilinear in x, clipped to the lattice (beta ~ const outside the
-        # cavity box, and every consumer multiplies by the cavity profile)
-        h = self.x_axis[1] - self.x_axis[0]
-        u = (np.clip(X, self.x_axis[0], self.x_axis[-1]) - self.x_axis[0]) / h
-        i0 = np.minimum(u.astype(int), self.nx - 1)
-        f = u - i0
-        out = np.zeros(X.shape[0])
-        for corner in range(8):
-            d = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-            wgt = np.prod(np.where(d, f, 1.0 - f), axis=1)
-            out += wgt * slab[i0[:, 0] + d[0], i0[:, 1] + d[1], i0[:, 2] + d[2]]
-        return out.reshape(lead)
+        # clamp each coordinate to the lattice, then one 4-D read; time goes
+        # in cell units, so t = 0 lands exactly on the last node (beta = 0)
+        lo, hi = self.x_axis[0], self.x_axis[-1]
+        k = (np.clip(t, p.t_star, 0.0) - p.t_star) / -p.t_star * (self.nt - 1)
+        tx = np.column_stack((np.full(X.shape[0], k), np.clip(X, lo, hi)))
+        h = self.x_axis[1] - lo
+        stencil = lattice_stencil(tx, (0.0, lo, lo, lo), (1.0, h, h, h),
+                                  self.table.shape)
+        return lattice_read(self.table.reshape(-1), stencil).reshape(lead)
 
     def refine(self) -> "BetaCache":
         return BetaCache(self.params, 2 * self.nt, 2 * self.nx, self.mode,
@@ -601,14 +599,8 @@ def _probe_points(p: AnsatzParams) -> np.ndarray:
 def f_r_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
     """Cavity field amp * exp(-beta(t,x)) chi(M|x|) chi(|v|/N)."""
     X, V, lead = _as_pairs(x, v)
-    cav = _chi(p.M * np.linalg.norm(X, axis=1))
     vel = _chi(np.linalg.norm(V, axis=1) / p.N)
-    out = np.zeros(X.shape[0])
-    mask = (cav > 0.0) & (vel > 0.0)
-    if np.any(mask):
-        b = _beta_on(p, t, X[mask], beta)
-        out[mask] = p.amp_r * np.exp(-b) * cav[mask] * vel[mask]
-    return out.reshape(lead)
+    return (p.amp_r * _cavity_profile(p, t, X, beta) * vel).reshape(lead)
 
 
 def f_a_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
@@ -633,13 +625,7 @@ def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
 
 
 def _cavity_sheet(p: AnsatzParams, t: float, grid: GridSpec, beta) -> np.ndarray:
-    X = grid.x_points()
-    cav = _chi(p.M * np.linalg.norm(X, axis=1))
-    out = np.zeros(X.shape[0])
-    mask = cav > 0.0
-    if np.any(mask):
-        b = _beta_on(p, t, X[mask], beta)
-        out[mask] = p.amp_r * np.exp(-b) * cav[mask]
+    out = p.amp_r * _cavity_profile(p, t, grid.x_points(), beta)
     return out.reshape(grid.nx).astype(np.complex128)
 
 
@@ -774,13 +760,7 @@ def _cavity_sheet_fft(p: AnsatzParams, t: float, beta, nx: int, pad: float):
     half = pad / p.M
     ax = -half + (2.0 * half / nx) * np.arange(nx)
     X = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    cav = _chi(p.M * np.linalg.norm(X, axis=1))
-    g = np.zeros(X.shape[0])
-    mask = cav > 0.0
-    if np.any(mask):
-        b = _beta_on(p, t, X[mask], beta)
-        g[mask] = np.exp(-b) * cav[mask]
-    g = g.reshape(nx, nx, nx)
+    g = _cavity_profile(p, t, X, beta).reshape(nx, nx, nx)
     cell = (2.0 * half / nx) ** 3
     ghat = np.fft.fftn(g) * cell
     freq = np.fft.fftfreq(nx, d=2.0 * half / nx)

@@ -6,13 +6,14 @@ is computed in the spectral representation
     Qhat+(xi) = integral_{S^2} fv(xi - (xi.w) w) gv((xi.w) w) dw,
 
 (fv, gv the forward v-transforms) by sphere quadrature over deflection
-directions w, with the off-grid evaluation points interpolated either
-trilinearly on a 2x zero-padded spectral lattice (default) or by exact
-trigonometric sums (oracle runs).  A direct physical-space quadrature —
-for each output velocity, f and g read at the outgoing pair of every
-collision partner on the lattice — serves as a brute-force cross-check
-on small v-grids.  Input supports are confined to the ball of radius
-(1 - dealias_margin) * Nyquist so that no evaluation wraps around.
+directions w, with the off-grid evaluation points read either trilinearly
+on a 2x zero-padded spectral lattice (default) or by exact trigonometric
+sums (oracle runs).  A direct physical-space quadrature — for each output
+velocity, f and g read at the outgoing pair of every collision partner on
+the lattice — serves as a brute-force cross-check on small v-grids.  Both
+trilinear paths read through the one zero-extended multilinear stencil
+`grids.lattice_stencil`.  Input supports are confined to the ball of
+radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from .grids import (
     PhaseField,
     Storage,
     VSlicedField,
-    _apply_axes_phase,
+    _ft,
+    _ift,
     axis_sum,
+    lattice_read,
+    lattice_stencil,
     on_axes,
 )
 
@@ -123,11 +127,13 @@ class CollisionConfig:
     """Knobs for the collision operators.
 
     interpolation selects how off-lattice points are read: Trilinear
-    (cheap; padded spectral lattice for the spectral gain, zero-extended
-    physical reads for the direct one) or Trig (exact trigonometric sums,
-    oracle-grade).  dealias_margin is the fraction of the spectral radius
-    zeroed before the gain quadrature.  direct_cap guards the brute-force
-    oracle's cost.
+    (cheap; grids.lattice_stencil reads, zero-extended, of the padded
+    spectral lattice for the spectral gain and of the physical v-lattice
+    for the direct one) or Trig (exact trigonometric sums, oracle-grade).
+    dealias_margin is the fraction of the spectral radius zeroed before the
+    gain quadrature; reads outside that ball weigh zero.  With the default
+    margin no in-ball read reaches the last padded cell.  direct_cap guards
+    the brute-force oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -210,76 +216,21 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
     return (1.0 - margin) * nyq
 
 
-def _forward_v_padded(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _padded_spectrum(chunk: np.ndarray, grid: GridSpec,
+                     radius: float) -> np.ndarray:
     """Forward v-transform of (c, nv) physical data zero-padded to the
-    doubled box [-2Lv, 2Lv): same Nyquist, halved spectral spacing.
-    Returns the fftshifted spectral array (c, 2*nv)."""
+    doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing
+    1/(4Lv)), fftshifted, with the content outside |xi| <= radius zeroed.
+    Returns the (c, prod(2*nv)) flattened lattice."""
     c = chunk.shape[0]
     nv = grid.nv
     padded = np.zeros((c,) + tuple(2 * n for n in nv), dtype=np.complex128)
     sl = tuple(slice(n // 2, n // 2 + n) for n in nv)
     padded[(slice(None),) + sl] = chunk
-    out = np.fft.fftn(padded, axes=(1, 2, 3))
-    out = _apply_axes_phase(out, (1, 2, 3))
-    out *= grid.cell_v
-    return np.fft.fftshift(out, axes=(1, 2, 3))
-
-
-def _inverse_v(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = _apply_axes_phase(chunk, (1, 2, 3))
-    out = np.fft.ifftn(out, axes=(1, 2, 3))
-    out *= 1.0 / grid.cell_v
-    return out
-
-
-def _ball_project(spec_shifted: np.ndarray, grid: GridSpec, pad: int,
-                  radius: float) -> np.ndarray:
-    """Zero spectral content outside |xi| <= radius on the (pad*nv) shifted
-    lattice."""
-    n = [pad * m for m in grid.nv]
-    d = 1.0 / (2.0 * grid.Lv * pad)
-    r2 = axis_sum(lambda a: ((np.arange(n[a]) - n[a] // 2) * d) ** 2)
-    mask = r2 <= radius**2
-    return spec_shifted * mask
-
-
-class _TrilinearPlan:
-    """Per-node gather plan: 8 corner flat indices + weights for reading a
-    shifted padded spectral lattice at arbitrary points; out-of-ball and
-    out-of-lattice reads yield zero."""
-
-    def __init__(self, points: np.ndarray, grid: GridSpec, pad: int, radius: float):
-        npts = points.shape[0]
-        shape = tuple(pad * n for n in grid.nv)
-        d = 1.0 / (2.0 * grid.Lv * pad)
-        idx = np.empty((3, npts), dtype=np.int64)
-        frac = np.empty((3, npts))
-        inside = np.sum(points**2, axis=1) <= radius**2
-        for a in range(3):
-            u = points[:, a] / d + shape[a] // 2
-            base = np.floor(u).astype(np.int64)
-            frac[a] = u - base
-            inside &= (base >= 0) & (base + 1 < shape[a])
-            idx[a] = np.clip(base, 0, shape[a] - 2)
-        self.corners = []
-        strides = (shape[1] * shape[2], shape[2], 1)
-        for c1 in (0, 1):
-            for c2 in (0, 1):
-                for c3 in (0, 1):
-                    flat = ((idx[0] + c1) * strides[0] + (idx[1] + c2) * strides[1]
-                            + (idx[2] + c3) * strides[2])
-                    w = ((frac[0] if c1 else 1 - frac[0])
-                         * (frac[1] if c2 else 1 - frac[1])
-                         * (frac[2] if c3 else 1 - frac[2]))
-                    self.corners.append((flat, w * inside))
-
-    def gather(self, flat_spec: np.ndarray) -> np.ndarray:
-        """flat_spec: (c, prod(padded shape)) -> values (c, npts)."""
-        out = None
-        for flat, w in self.corners:
-            term = flat_spec[:, flat] * w
-            out = term if out is None else out + term
-        return out
+    spec = np.fft.fftshift(_ft(padded, (1, 2, 3), grid.cell_v), axes=(1, 2, 3))
+    d = 1.0 / (4.0 * grid.Lv)
+    r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * d) ** 2)
+    return (spec * (r2 <= radius**2)).reshape(c, -1)
 
 
 def _tensor_trig_eval(data: np.ndarray, axes: list[np.ndarray],
@@ -343,19 +294,24 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     nxtot = int(np.prod(grid.nx))
     trilinear = cfg.interpolation is Interpolation.Trilinear
 
-    plans = None
-    geoms = []
+    # one read per node and side (xi+, xi-): a multilinear stencil on the
+    # shifted padded lattice with the dealias-ball mask folded into its
+    # weights, or the ball mask alone for the trigonometric sums
+    pshape = tuple(2 * n for n in grid.nv)
+    step = 1.0 / (4.0 * grid.Lv)
+    origin = -np.array(grid.nv) * step
+    reads = []
     for w_i, omega in zip(quad.weights, quad.nodes):
-        s = xi @ omega
-        xim = s[:, None] * omega[None, :]
-        xip = xi - xim
-        geoms.append((w_i, xip, xim))
-    if trilinear:
-        plans = [( _TrilinearPlan(xip, grid, 2, radius),
-                   _TrilinearPlan(xim, grid, 2, radius)) for _, xip, xim in geoms]
-    else:
-        masks = [(np.sum(xip**2, axis=1) <= radius**2,
-                  np.sum(xim**2, axis=1) <= radius**2) for _, xip, xim in geoms]
+        xim = (xi @ omega)[:, None] * omega[None, :]
+        sides = []
+        for pts in (xi - xim, xim):
+            inside = np.sum(pts**2, axis=1) <= radius**2
+            if trilinear:
+                idx, w = lattice_stencil(pts, origin, step, pshape)
+                sides.append((idx, w * inside))
+            else:
+                sides.append((pts, inside))
+        reads.append((w_i, *sides))
 
     fd = f.data.reshape((nxtot,) + grid.nv)
     gd = g.data.reshape((nxtot,) + grid.nv)
@@ -367,19 +323,17 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         hi = min(lo + chunk, nxtot)
         acc = np.zeros((hi - lo, nvtot), dtype=np.complex128)
         if trilinear:
-            Fs = _ball_project(_forward_v_padded(fd[lo:hi], grid), grid, 2, radius)
-            Gs = _ball_project(_forward_v_padded(gd[lo:hi], grid), grid, 2, radius)
-            Fl = Fs.reshape(hi - lo, -1)
-            Gl = Gs.reshape(hi - lo, -1)
-            for (w_i, _, _), (pf, pg) in zip(geoms, plans):
-                acc += w_i * pf.gather(Fl) * pg.gather(Gl)
+            Fl = _padded_spectrum(fd[lo:hi], grid, radius)
+            Gl = _padded_spectrum(gd[lo:hi], grid, radius)
+            for w_i, sf, sg in reads:
+                acc += w_i * lattice_read(Fl, sf) * lattice_read(Gl, sg)
         else:
-            for (w_i, xip, xim), (mp, mm) in zip(geoms, masks):
+            for w_i, (xip, mp), (xim, mm) in reads:
                 Fv = _trig_eval(fd[lo:hi], grid, xip, mp)
                 Gv = _trig_eval(gd[lo:hi], grid, xim, mm)
                 acc += w_i * Fv * Gv
-        out[lo:hi] = _inverse_v(acc.reshape((hi - lo,) + grid.nv),
-                                grid).reshape(hi - lo, nvtot)
+        out[lo:hi] = _ift(acc.reshape((hi - lo,) + grid.nv), (1, 2, 3),
+                          grid.cell_v).reshape(hi - lo, nvtot)
 
     out = out.reshape(grid.shape)
     scale = np.max(np.abs(out))
@@ -393,47 +347,6 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
 # ---------------------------------------------------------------------------
 # direct gain term (brute-force oracle)
 # ---------------------------------------------------------------------------
-
-def _forward_v(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.fft.fftn(chunk, axes=(1, 2, 3))
-    out = _apply_axes_phase(out, (1, 2, 3))
-    out *= grid.cell_v
-    return out
-
-
-def _interp_physical_trilinear(flat: np.ndarray, grid: GridSpec,
-                               points: np.ndarray) -> np.ndarray:
-    """Trilinear read of (c, Nv) physical v-data at (npts, 3) points.
-
-    Zero-extension semantics: each stencil corner outside the box carries
-    weight zero, so reads degrade smoothly at the boundary and reads at
-    exact lattice points (edges included) reproduce the stored samples."""
-    nv = grid.nv
-    corner_idx: list[tuple[np.ndarray, np.ndarray]] = []
-    corner_w: list[tuple[np.ndarray, np.ndarray]] = []
-    for a in range(3):
-        d = 2.0 * grid.Lv / nv[a]
-        u = (points[:, a] + grid.Lv) / d
-        base = np.floor(u).astype(np.int64)
-        t = u - base
-        ok0 = (base >= 0) & (base < nv[a])
-        ok1 = (base + 1 >= 0) & (base + 1 < nv[a])
-        corner_idx.append((np.clip(base, 0, nv[a] - 1),
-                           np.clip(base + 1, 0, nv[a] - 1)))
-        corner_w.append(((1.0 - t) * ok0, t * ok1))
-    out = None
-    strides = (nv[1] * nv[2], nv[2], 1)
-    for c1 in (0, 1):
-        for c2 in (0, 1):
-            for c3 in (0, 1):
-                f_flat = (corner_idx[0][c1] * strides[0]
-                          + corner_idx[1][c2] * strides[1]
-                          + corner_idx[2][c3] * strides[2])
-                w = corner_w[0][c1] * corner_w[1][c2] * corner_w[2][c3]
-                term = flat[:, f_flat] * w
-                out = term if out is None else out + term
-    return out
-
 
 def gain_term_direct(f: PhaseField, g: PhaseField,
                      cfg: CollisionConfig) -> PhaseField:
@@ -466,8 +379,8 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
     trig = cfg.interpolation is Interpolation.Trig
     if trig:
         xiaxes = [grid.xi_axis(a) for a in range(3)]
-        spec_f = _forward_v(f.data.reshape((nxtot,) + grid.nv), grid)
-        spec_g = _forward_v(g.data.reshape((nxtot,) + grid.nv), grid)
+        spec_f = _ft(f.data.reshape((nxtot,) + grid.nv), (1, 2, 3), grid.cell_v)
+        spec_g = _ft(g.data.reshape((nxtot,) + grid.nv), (1, 2, 3), grid.cell_v)
 
     out = np.zeros((nxtot, nvtot), dtype=np.complex128)
     for w_i, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
@@ -486,8 +399,8 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
             gu[:, iu] = _tensor_trig_eval(spec_g, xiaxes, ustar[iu],
                                           +1.0) * grid.cell_xi
         else:
-            fv = _interp_physical_trilinear(fd, grid, vstar)
-            gu = _interp_physical_trilinear(gd, grid, ustar)
+            fv = lattice_read(fd, lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv))
+            gu = lattice_read(gd, lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv))
         prod = (fv * gu).reshape(nxtot, nvtot, nvtot)
         out += w_i * prod.sum(axis=2)
     out *= grid.cell_v

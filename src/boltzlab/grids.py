@@ -338,6 +338,49 @@ def eta_dot_v(grid: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# multilinear lattice reads
+# ---------------------------------------------------------------------------
+
+def lattice_stencil(points: np.ndarray, lo, step,
+                    shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear read stencil of the lattice lo + k * step (k < shape) at
+    the (npts, d) points: flat C-order sample indices and their weights,
+    both of shape (2^d, npts).  lo and step are scalars or per-axis.
+
+    Zero extension: corners off the lattice weigh zero, so reads at lattice
+    points (edges included) return the stored samples, a read a fraction t
+    of a cell past an edge sample returns (1 - t) times it, and reads a full
+    cell or more off the lattice return zero.
+    """
+    npts, d = points.shape
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
+    step = np.broadcast_to(np.asarray(step, dtype=float), (d,))
+    idx = np.zeros((1, npts), dtype=np.int64)
+    w = np.ones((1, npts))
+    for a, n in enumerate(shape):
+        # clip first: the integer cast of a far-off coordinate must not overflow
+        u = np.clip((points[:, a] - lo[a]) / step[a], -1.0, n)
+        base = np.floor(u)
+        frac = u - base
+        k = base.astype(np.int64) + np.arange(2)[:, None]
+        wa = np.stack((1.0 - frac, frac)) * ((k >= 0) & (k < n))
+        idx = (idx[:, None] * n + np.clip(k, 0, n - 1)).reshape(-1, npts)
+        w = (w[:, None] * wa).reshape(-1, npts)
+    return idx, w
+
+
+def lattice_read(flat: np.ndarray,
+                 stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Read (..., N) flattened lattice samples through a lattice_stencil:
+    the sum over corners of flat[..., idx] * w, shape (..., npts)."""
+    idx, w = stencil
+    out = flat[..., idx[0]] * w[0]
+    for k in range(1, idx.shape[0]):
+        out += flat[..., idx[k]] * w[k]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -348,9 +391,24 @@ def _edge_phase(n: int) -> np.ndarray:
 
 
 def _apply_axes_phase(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    for ax in axes:
-        data = data * on_axes(_edge_phase(data.shape[ax]), (ax,), data.ndim)
-    return data
+    # one pass with the broadcast product of the per-axis signs (exact)
+    return data * math.prod(on_axes(_edge_phase(data.shape[ax]), (ax,), data.ndim)
+                            for ax in axes)
+
+
+def _ft(data: np.ndarray, axes: Sequence[int], cell: float) -> np.ndarray:
+    """Continuum-FT samples over `axes` of data sampled from the box's left
+    edge: the DFT, the (-1)^k edge phase and the cell volume."""
+    out = _apply_axes_phase(np.fft.fftn(data, axes=axes), axes)
+    out *= cell
+    return out
+
+
+def _ift(data: np.ndarray, axes: Sequence[int], cell: float) -> np.ndarray:
+    """The inverse of _ft over the same axes and cell."""
+    out = np.fft.ifftn(_apply_axes_phase(data, axes), axes=axes)
+    out *= 1.0 / cell
+    return out
 
 
 def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
@@ -377,17 +435,7 @@ def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
 
     ax_ids = (0, 1, 2) if axes == "x" else (3, 4, 5)
     cell = grid.cell_x if axes == "x" else grid.cell_v
-    n3 = int(np.prod(grid.nx if axes == "x" else grid.nv))
-
-    if direction == "forward":
-        out = np.fft.fftn(field.data, axes=ax_ids)
-        out = _apply_axes_phase(out, ax_ids)
-        out *= cell
-    else:
-        out = _apply_axes_phase(field.data, ax_ids)
-        out = np.fft.ifftn(out, axes=ax_ids)
-        out *= n3 / (cell * n3)  # = 1/cell; ifftn already divides by n3
-
+    out = (_ft if want_spec else _ift)(field.data, ax_ids, cell)
     new_tag = _tag_from(
         want_spec if axes == "x" else field.tag.x_spectral,
         want_spec if axes == "v" else field.tag.v_spectral,

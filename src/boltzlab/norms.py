@@ -26,7 +26,7 @@ from boltzlab.grids import (
     PhaseField,
     Trajectory,
     VSlicedField,
-    _apply_axes_phase,
+    _ft,
     axis_sum,
     eta_dot_v,
     on_axes,
@@ -64,7 +64,7 @@ def _xhat_slices(field: Field):
     else:
         cell = field.grid.cell_x
         for iv, sl in field.iter_v():
-            yield iv, _apply_axes_phase(np.fft.fftn(sl), (0, 1, 2)) * cell
+            yield iv, _ft(sl, (0, 1, 2), cell)
 
 
 def _weighted_l2(field: Field, x_weight2: np.ndarray, v_weight2: np.ndarray) -> float:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+import warnings
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -19,6 +21,8 @@ def apply_thread_cap() -> int | None:
     Sets each BLAS/OpenMP thread variable the environment does not already
     set.  The pools read them once, when numpy is first imported, so this
     module imports no numpy and the package calls it before anything else.
+    If numpy is already loaded when a variable has to be set, the running
+    pools keep their size, and a RuntimeWarning says so.
     Returns the cap, or None when the variable is unset/invalid.
     """
     raw = os.environ.get("LAB_THREADS")
@@ -28,6 +32,13 @@ def apply_thread_cap() -> int | None:
         n = max(1, int(raw))
     except ValueError:
         return None
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
+    unset = [var for var in _THREAD_VARS if var not in os.environ]
+    for var in unset:
+        os.environ[var] = str(n)
+    if unset and "numpy" in sys.modules:
+        warnings.warn(
+            f"LAB_THREADS={n}: numpy was imported before boltzlab, so setting "
+            f"{', '.join(unset)} now does not resize the thread pools it has "
+            "already started; set them before starting Python",
+            RuntimeWarning, stacklevel=2)
     return n

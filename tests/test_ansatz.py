@@ -366,6 +366,18 @@ class TestBeta:
         interp = cache(p8.t_star, pts)
         assert np.max(np.abs(interp - direct) / np.abs(direct)) < 1e-2
 
+    def test_clamps_each_coordinate_to_the_box(self, caches):
+        # outside [-R, R]^3 a read returns the read at the box point nearest
+        # to x (each coordinate clipped), not at x scaled back to radius R
+        p, cache = caches[8]
+        R = cache.radius
+        far = np.array([[2 * R, 0.3 * R, 0.0], [-5 * R, -2 * R, 0.3 * R]])
+        near = np.array([[R, 0.3 * R, 0.0], [-R, -R, 0.3 * R]])
+        for t in (p.t_star, 0.37 * p.t_star):
+            np.testing.assert_array_equal(cache(t, far), cache(t, near))
+        radial = far[0] * R / np.linalg.norm(far[0])
+        assert cache(p.t_star, far[0]) != cache(p.t_star, radial)
+
     def test_refine_doubles(self, p4):
         c = BetaCache(p4, nt=8, nx=4)
         c2 = c.refine()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from boltzlab import (
     CollisionConfig,
@@ -248,6 +249,40 @@ class TestSpectralGain:
         f = smooth_blob(grid, np.random.default_rng(12))
         gain = gain_term_spectral(f, f, CollisionConfig())
         assert np.all(gain.data.imag == 0)
+
+    def test_trilinear_reads_match_regular_grid_interpolator(self):
+        # the same sphere quadrature with every off-lattice read done by
+        # scipy's linear interpolator on the padded, ball-projected spectrum
+        # (zero outside the lattice), and both transforms as explicit sums
+        grid = oracle_grid()
+        rng = np.random.default_rng(31)
+        f = smooth_blob(grid, rng)
+        g = smooth_blob(grid, rng)
+        cfg = CollisionConfig()
+        radius = (1.0 - cfg.dealias_margin) * min(grid.nv) / (4.0 * grid.Lv)
+        axes = [(np.arange(2 * n) - n) / (4.0 * grid.Lv) for n in grid.nv]
+        fwd = [np.exp(-2j * np.pi * np.outer(axes[a], grid.v_axis(a)))
+               for a in range(3)]
+        ball = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        ball = np.sum(ball**2, axis=-1) <= radius**2
+        reads = [RegularGridInterpolator(
+            axes, ball * grid.cell_v * np.einsum(
+                "ijk,pi,qj,rk->pqr", h.data.reshape(grid.nv), *fwd),
+            method="linear", bounds_error=False, fill_value=0.0) for h in (f, g)]
+        xi_axes = [grid.xi_axis(a) for a in range(3)]
+        xi = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        acc = np.zeros(xi.shape[0], dtype=complex)
+        for w, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
+            xim = np.outer(xi @ omega, omega)
+            vals = [read(p) * (np.sum(p**2, axis=1) <= radius**2)
+                    for read, p in zip(reads, (xi - xim, xim))]
+            acc += w * vals[0] * vals[1]
+        inv = [np.exp(2j * np.pi * np.outer(grid.v_axis(a), xi_axes[a]))
+               for a in range(3)]
+        want = grid.cell_xi * np.einsum("pqr,ip,jq,kr->ijk",
+                                        acc.reshape(grid.nv), *inv).real
+        got = gain_term_spectral(f, g, cfg).data.real.reshape(grid.nv)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDirectGain:

@@ -1,5 +1,7 @@
 """Spectral core: transforms, Plancherel, free transport, rescaling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from boltzlab import (
     rescale,
     transform,
 )
-from boltzlab.grids import axis_sum, eta_dot_v, on_axes
+from boltzlab.grids import (axis_sum, eta_dot_v, lattice_read,
+                            lattice_stencil, on_axes)
 
 
 def small_grid():
@@ -80,6 +83,55 @@ class TestAxisSymbols:
         assert on_axes(v, (4,), 6).shape == (1, 1, 1, 1, 32, 1)
         block = np.ones(g.shape) * on_axes(v, (4,), 6)
         np.testing.assert_array_equal(block[1, 3, 7, 15, :, 0], v)
+
+
+def multilinear(coef, x):
+    """sum over e in {0,1}^d of coef[e] * prod_a x_a^e_a at the rows of x."""
+    return sum(coef[e] * np.prod(x ** np.array(e), axis=1)
+               for e in itertools.product((0, 1), repeat=coef.ndim))
+
+
+class TestLatticeStencil:
+    @pytest.mark.parametrize("shape", [(7,), (5, 4, 6), (3, 4, 5, 3)])
+    def test_reads_multilinear_polynomials_exactly(self, shape):
+        rng = np.random.default_rng(len(shape))
+        d = len(shape)
+        lo = rng.uniform(-2.0, 2.0, d)
+        step = rng.uniform(0.3, 1.7, d)
+        coef = rng.standard_normal((2,) * d)
+        axes = [lo[a] + step[a] * np.arange(n) for a, n in enumerate(shape)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        flat = multilinear(coef, nodes)
+        pts = lo + step * rng.uniform(0.0, np.array(shape) - 1.0, (200, d))
+        got = lattice_read(np.stack((flat, -2.0 * flat)),
+                           lattice_stencil(pts, lo, step, shape))
+        want = multilinear(coef, pts)
+        assert got.shape == (2, 200)
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[1], -2.0 * want, rtol=1e-12, atol=1e-12)
+
+    def test_lattice_points_return_their_samples(self):
+        # dyadic origin and spacing: the lattice coordinates are exact
+        shape = (4, 3, 5)
+        flat = np.random.default_rng(3).standard_normal(60)
+        k = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+        idx, w = lattice_stencil(-1.5 + 0.25 * k, -1.5, 0.25, shape)
+        assert idx.shape == w.shape == (8, 60)
+        np.testing.assert_array_equal(lattice_read(flat, (idx, w)), flat)
+
+    def test_zero_extension_past_the_edges(self):
+        samples = np.array([2.0, -1.0, 3.0, 5.0])
+        lo, step, t = -1.0, 0.5, 0.25
+        pts = np.array([[lo + (3 + t) * step],   # past the last sample
+                        [lo - t * step],         # before the first
+                        [lo + 4.5 * step],       # more than a cell out
+                        [1e300], [-1e300]])      # far off: no overflowing cast
+        got = lattice_read(samples, lattice_stencil(pts, lo, step, (4,)))
+        np.testing.assert_array_equal(
+            got, [(1 - t) * samples[-1], (1 - t) * samples[0], 0.0, 0.0, 0.0])
+        far = lattice_stencil(np.array([[1e300, 0.0, 0.0]]), 0.0, 1.0, (2, 2, 2))
+        assert lattice_read(np.ones(8), far) == 0.0
 
 
 class TestTransforms:

@@ -23,11 +23,34 @@ print(seen)
 """
 
 
-def test_thread_cap_set_before_numpy_import():
+# Imports numpy first, then prints the RuntimeWarnings importing boltzlab raises.
+_LATE = """
+import warnings
+import numpy
+with warnings.catch_warnings(record=True) as seen:
+    warnings.simplefilter("always")
+    import boltzlab
+print([str(w.message) for w in seen if w.category is RuntimeWarning])
+"""
+
+
+def _run_capped(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter with only LAB_THREADS=1 set."""
     src = str(Path(boltzlab.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
     env.update(LAB_THREADS="1", PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
+def test_thread_cap_set_before_numpy_import():
+    out = _run_capped(_PROBE)
     assert out.stdout.strip() == "['1']"
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_thread_cap_warns_when_numpy_loaded_first():
+    out = _run_capped(_LATE)
+    assert "numpy was imported before boltzlab" in out.stdout
+    assert "OPENBLAS_NUM_THREADS" in out.stdout
