@@ -3,6 +3,11 @@
 Operators (collision gain/loss, free transport), weighted mixed norms, and
 the explicit tube/cavity constructions used to probe well- and ill-posedness
 scaling laws at desk scale.
+
+The package attribute `collision` is the operator Q = Q+ - Q-, not the
+submodule of the same name, so `import boltzlab.collision as C` binds the
+function.  Reach the module with
+`importlib.import_module("boltzlab.collision")`.
 """
 
 from boltzlab.util import apply_thread_cap

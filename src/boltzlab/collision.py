@@ -8,9 +8,19 @@ is computed in the spectral representation
 (fv, gv the forward v-transforms) by sphere quadrature over deflection
 directions w, with the off-grid evaluation points read either trilinearly
 on a 2x zero-padded spectral lattice (default) or by exact trigonometric
-sums (oracle runs).  A direct physical-space quadrature — for each output
-velocity, f and g read at the outgoing pair of every collision partner on
-the lattice — serves as a brute-force cross-check on small v-grids.  Both
+sums (oracle runs).  The trilinear reads are cached operators: per node q,
+one real CSR pair (S+_q, S-_q) of shape (Nv, prod(2*nv)), so that
+
+    Qhat+ = sum_q (S+_q F) (S-_q G),   F, G the padded spectra,
+
+followed by the inverse transform.  Their weights fold in the node weight
+(+ side) and the dealias ball at the read point; their columns fold in the
+fftshift of the padded lattice and the ball on it, so the spectrum is read
+straight from the FFT.  The operators are keyed on (grid, nodes, weights,
+ball radius), and the four latest sets stay cached, so a time loop builds
+them once.  A direct physical-space quadrature — for each output velocity,
+f and g read at the outgoing pair of every collision partner on the
+lattice — serves as a brute-force cross-check on small v-grids.  Both
 trilinear paths read through the one zero-extended multilinear stencil
 `grids.lattice_stencil`.  Input supports are confined to the ball of
 radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
@@ -19,11 +29,13 @@ radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import sparse
 
 from .grids import (
     FieldTag,
@@ -42,6 +54,9 @@ from .grids import (
 logger = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * math.pi
+
+# target size of one x-block of the direct gain's pair tensors
+_DIRECT_BLOCK_BYTES = 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +147,11 @@ class CollisionConfig:
     for the direct one) or Trig (exact trigonometric sums, oracle-grade).
     dealias_margin is the fraction of the spectral radius zeroed before the
     gain quadrature; reads outside that ball weigh zero.  With the default
-    margin no in-ball read reaches the last padded cell.  direct_cap guards
-    the brute-force oracle's cost.
+    margin no in-ball read reaches the last padded cell.  The Trilinear
+    spectral gain caches its read operators per (grid, quadrature nodes and
+    weights, ball radius), holding the four latest; the node weights, the
+    ball and the padded lattice's fftshift are folded into them.  direct_cap
+    guards the brute-force oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -216,21 +234,67 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
     return (1.0 - margin) * nyq
 
 
-def _padded_spectrum(chunk: np.ndarray, grid: GridSpec,
-                     radius: float) -> np.ndarray:
+def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Forward v-transform of (c, nv) physical data zero-padded to the
     doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing
-    1/(4Lv)), fftshifted, with the content outside |xi| <= radius zeroed.
-    Returns the (c, prod(2*nv)) flattened lattice."""
+    1/(4Lv)), in FFT order with the chunk axis last: the contiguous
+    (prod(2*nv), c) lattice that the gain operators read."""
     c = chunk.shape[0]
     nv = grid.nv
-    padded = np.zeros((c,) + tuple(2 * n for n in nv), dtype=np.complex128)
-    sl = tuple(slice(n // 2, n // 2 + n) for n in nv)
-    padded[(slice(None),) + sl] = chunk
-    spec = np.fft.fftshift(_ft(padded, (1, 2, 3), grid.cell_v), axes=(1, 2, 3))
-    d = 1.0 / (4.0 * grid.Lv)
-    r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * d) ** 2)
-    return (spec * (r2 <= radius**2)).reshape(c, -1)
+    padded = np.zeros(tuple(2 * n for n in nv) + (c,), dtype=np.complex128)
+    padded[tuple(slice(n // 2, n // 2 + n) for n in nv)] = np.moveaxis(chunk, 0, -1)
+    return _ft(padded, (0, 1, 2), grid.cell_v).reshape(-1, c)
+
+
+def _read_operator(idx: np.ndarray, w: np.ndarray,
+                   ncols: int) -> sparse.csr_array:
+    """The (npts, ncols) read-only CSR matrix of a (2^d, npts) stencil:
+    row i holds point i's non-zero corner weights in stencil order."""
+    keep = (w != 0).T
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    op = sparse.csr_array(
+        (w.T[keep], idx.T[keep].astype(np.int32), indptr.astype(np.int32)),
+        shape=(w.shape[1], ncols))
+    for arr in (op.data, op.indices, op.indptr):
+        arr.flags.writeable = False
+    return op
+
+
+@functools.lru_cache(maxsize=4)
+def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
+                    radius: float) -> tuple[tuple[sparse.csr_array, ...], ...]:
+    """Per quadrature node q, the real CSR pair (S+_q, S-_q) of shape
+    (Nv, prod(2*nv)) whose products with the padded spectrum give the
+    multilinear reads at xi+ = xi - (xi.w)w and xi- = (xi.w)w for every xi
+    of the lattice (FFT order).
+
+    The weights fold in the node weight w_q (+ side only) and the dealias
+    ball at the read point; the columns fold in the fftshift that centres
+    the padded lattice and the ball on it.  So S F equals the read of the
+    shifted, ball-masked spectrum, and a time loop pays the build once per
+    (grid, nodes, weights, radius); the four latest sets stay cached."""
+    nodes = np.frombuffer(nodes).reshape(-1, 3)
+    weights = np.frombuffer(weights)
+    xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
+    nv = grid.nv
+    pshape = tuple(2 * n for n in nv)
+    step = 1.0 / (4.0 * grid.Lv)
+    origin = -np.array(nv) * step
+    # shifted lattice index -> column of the FFT-order padded spectrum
+    column = np.fft.fftshift(np.arange(math.prod(pshape)).reshape(pshape)).ravel()
+    r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * step) ** 2)
+    ball = (r2 <= radius**2).ravel()
+    ops = []
+    for w_q, omega in zip(weights, nodes):
+        xim = (xi @ omega)[:, None] * omega[None, :]
+        pair = []
+        for scale, pts in ((w_q, xi - xim), (1.0, xim)):
+            idx, w = lattice_stencil(pts, origin, step, pshape)
+            inside = np.sum(pts**2, axis=1) <= radius**2
+            w = w * (ball[idx] & inside) * scale
+            pair.append(_read_operator(column[idx], w, column.size))
+        ops.append(tuple(pair))
+    return tuple(ops)
 
 
 def _tensor_trig_eval(data: np.ndarray, axes: list[np.ndarray],
@@ -288,30 +352,23 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     grid = f.grid
     quad = cfg.quadrature
     radius = _dealias_radius(grid, cfg.dealias_margin)
-
-    xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
-    nvtot = xi.shape[0]
-    nxtot = int(np.prod(grid.nx))
+    nvtot = math.prod(grid.nv)
+    nxtot = math.prod(grid.nx)
     trilinear = cfg.interpolation is Interpolation.Trilinear
 
-    # one read per node and side (xi+, xi-): a multilinear stencil on the
-    # shifted padded lattice with the dealias-ball mask folded into its
-    # weights, or the ball mask alone for the trigonometric sums
-    pshape = tuple(2 * n for n in grid.nv)
-    step = 1.0 / (4.0 * grid.Lv)
-    origin = -np.array(grid.nv) * step
-    reads = []
-    for w_i, omega in zip(quad.weights, quad.nodes):
-        xim = (xi @ omega)[:, None] * omega[None, :]
-        sides = []
-        for pts in (xi - xim, xim):
-            inside = np.sum(pts**2, axis=1) <= radius**2
-            if trilinear:
-                idx, w = lattice_stencil(pts, origin, step, pshape)
-                sides.append((idx, w * inside))
-            else:
-                sides.append((pts, inside))
-        reads.append((w_i, *sides))
+    if trilinear:
+        ops = _gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
+                              radius)
+    else:
+        # the trigonometric sums read each node's (xi+, xi-) points directly,
+        # zeroed outside the dealias ball
+        xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
+        reads = []
+        for w_i, omega in zip(quad.weights, quad.nodes):
+            xim = (xi @ omega)[:, None] * omega[None, :]
+            sides = [(pts, np.sum(pts**2, axis=1) <= radius**2)
+                     for pts in (xi - xim, xim)]
+            reads.append((w_i, *sides))
 
     fd = f.data.reshape((nxtot,) + grid.nv)
     gd = g.data.reshape((nxtot,) + grid.nv)
@@ -321,13 +378,17 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     chunk = max(1, int(3e6 // (8 * nvtot)))
     for lo in range(0, nxtot, chunk):
         hi = min(lo + chunk, nxtot)
-        acc = np.zeros((hi - lo, nvtot), dtype=np.complex128)
         if trilinear:
-            Fl = _padded_spectrum(fd[lo:hi], grid, radius)
-            Gl = _padded_spectrum(gd[lo:hi], grid, radius)
-            for w_i, sf, sg in reads:
-                acc += w_i * lattice_read(Fl, sf) * lattice_read(Gl, sg)
+            # the real operators act on the float64 view of the complex
+            # spectrum: 2c real columns, no complex copy of the matrices
+            Fl = _padded_spectrum(fd[lo:hi], grid).view(np.float64)
+            Gl = _padded_spectrum(gd[lo:hi], grid).view(np.float64)
+            acc = np.zeros((nvtot, hi - lo), dtype=np.complex128)
+            for sp, sm in ops:
+                acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
+            acc = acc.T
         else:
+            acc = np.zeros((hi - lo, nvtot), dtype=np.complex128)
             for w_i, (xip, mp), (xim, mm) in reads:
                 Fv = _trig_eval(fd[lo:hi], grid, xip, mp)
                 Gv = _trig_eval(gd[lo:hi], grid, xim, mm)
@@ -360,7 +421,8 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
     edge tails).  Over the octahedral node set the outgoing pair lies on
     the lattice itself, every read is exact, and p<->q swap symmetry forces
     the moments of Q(f,f) to vanish to machine precision.  The v-resolution
-    guard keeps the Nv^2 pair tensor affordable."""
+    guard keeps the Nv^2 pair tensor affordable, and x runs in blocks of
+    about 64 MB of it."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
     _require_full_physical(f, "gain")
@@ -382,27 +444,34 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
         spec_f = _ft(f.data.reshape((nxtot,) + grid.nv), (1, 2, 3), grid.cell_v)
         spec_g = _ft(g.data.reshape((nxtot,) + grid.nv), (1, 2, 3), grid.cell_v)
 
+    # x-blocks keep each (rows, Nv^2) complex pair tensor near the budget;
+    # rows are independent, so the blocking leaves every output bit unchanged
+    rows = max(1, _DIRECT_BLOCK_BYTES // (16 * nvtot**2))
     out = np.zeros((nxtot, nvtot), dtype=np.complex128)
     for w_i, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
         k = (V[:, None, :] - V[None, :, :]) @ omega  # (Nv_v, Nv_u)
         vstar = (V[:, None, :] - k[:, :, None] * omega).reshape(-1, 3)
         ustar = (V[None, :, :] + k[:, :, None] * omega).reshape(-1, 3)
         if trig:
-            in_v = np.all((vstar >= -grid.Lv) & (vstar < grid.Lv), axis=1)
-            in_u = np.all((ustar >= -grid.Lv) & (ustar < grid.Lv), axis=1)
-            fv = np.zeros((nxtot, vstar.shape[0]), dtype=np.complex128)
-            gu = np.zeros_like(fv)
-            iv = np.nonzero(in_v)[0]
-            iu = np.nonzero(in_u)[0]
-            fv[:, iv] = _tensor_trig_eval(spec_f, xiaxes, vstar[iv],
-                                          +1.0) * grid.cell_xi
-            gu[:, iu] = _tensor_trig_eval(spec_g, xiaxes, ustar[iu],
-                                          +1.0) * grid.cell_xi
+            iv = np.nonzero(np.all((vstar >= -grid.Lv) & (vstar < grid.Lv), axis=1))[0]
+            iu = np.nonzero(np.all((ustar >= -grid.Lv) & (ustar < grid.Lv), axis=1))[0]
         else:
-            fv = lattice_read(fd, lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv))
-            gu = lattice_read(gd, lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv))
-        prod = (fv * gu).reshape(nxtot, nvtot, nvtot)
-        out += w_i * prod.sum(axis=2)
+            sv = lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv)
+            su = lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)
+        for lo in range(0, nxtot, rows):
+            hi = min(lo + rows, nxtot)
+            if trig:
+                fv = np.zeros((hi - lo, vstar.shape[0]), dtype=np.complex128)
+                gu = np.zeros_like(fv)
+                fv[:, iv] = _tensor_trig_eval(spec_f[lo:hi], xiaxes, vstar[iv],
+                                              +1.0) * grid.cell_xi
+                gu[:, iu] = _tensor_trig_eval(spec_g[lo:hi], xiaxes, ustar[iu],
+                                              +1.0) * grid.cell_xi
+            else:
+                fv = lattice_read(fd[lo:hi], sv)
+                gu = lattice_read(gd[lo:hi], su)
+            prod = (fv * gu).reshape(hi - lo, nvtot, nvtot)
+            out[lo:hi] += w_i * prod.sum(axis=2)
     out *= grid.cell_v
     return PhaseField(grid, out.reshape(grid.shape), FieldTag.Physical_xv)
 

@@ -1,5 +1,8 @@
 """Collision operators: geometry, loss/gain terms, invariants, oracle."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,10 @@ from boltzlab import (
     post_collision,
     spatial_density,
 )
+from boltzlab.grids import lattice_read, lattice_stencil
+
+# the module itself: the package binds the name `collision` to the operator
+C = importlib.import_module("boltzlab.collision")
 
 FOUR_PI = 4.0 * np.pi
 
@@ -48,6 +55,49 @@ def smooth_blob(grid, rng):
     body = (amp * g * poly).astype(np.complex128)
     return PhaseField(grid, np.broadcast_to(body, grid.shape).copy(),
                       FieldTag.Physical_xv)
+
+
+def x_varying(f, rng):
+    """f scaled by a seeded positive factor per x-cell."""
+    amp = rng.uniform(0.5, 1.5, f.grid.nx)[:, :, :, None, None, None]
+    return PhaseField(f.grid, f.data * amp, FieldTag.Physical_xv)
+
+
+def reference_gain(f, g, cfg):
+    """The trilinear spectral gain as sum_q w_q (read of F at xi+) (read of
+    G at xi-): F, G the padded spectra as explicit sums on the centred
+    (shifted) lattice with the dealias ball applied, each read a
+    lattice_stencil with the ball at the read point, and the inverse
+    transform as an explicit sum."""
+    grid = f.grid
+    nv = grid.nv
+    step = 1.0 / (4.0 * grid.Lv)
+    radius = (1.0 - cfg.dealias_margin) * min(nv) / (4.0 * grid.Lv)
+    axes = [(np.arange(2 * n) - n) * step for n in nv]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    ball = np.sum(mesh**2, axis=-1) <= radius**2
+    fwd = [np.exp(-2j * np.pi * np.outer(axes[a], grid.v_axis(a)))
+           for a in range(3)]
+    spectra = [(ball * grid.cell_v * np.einsum(
+        "xijk,pi,qj,rk->xpqr", h.data.reshape((-1,) + nv), *fwd,
+        optimize=True)).reshape(-1, ball.size) for h in (f, g)]
+    xi_axes = [grid.xi_axis(a) for a in range(3)]
+    xi = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    acc = np.zeros((spectra[0].shape[0], xi.shape[0]), dtype=complex)
+    for w_q, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
+        xim = np.outer(xi @ omega, omega)
+        vals = []
+        for spec, pts in zip(spectra, (xi - xim, xim)):
+            idx, w = lattice_stencil(pts, -np.array(nv) * step, step,
+                                     ball.shape)
+            w = w * (np.sum(pts**2, axis=1) <= radius**2)
+            vals.append(lattice_read(spec, (idx, w)))
+        acc += w_q * vals[0] * vals[1]
+    inv = [np.exp(2j * np.pi * np.outer(grid.v_axis(a), xi_axes[a]))
+           for a in range(3)]
+    out = grid.cell_xi * np.einsum("xpqr,ip,jq,kr->xijk",
+                                   acc.reshape((-1,) + nv), *inv, optimize=True)
+    return out.real.reshape(grid.shape)
 
 
 def rel_l2(a, b):
@@ -285,6 +335,93 @@ class TestSpectralGain:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestGainOperators:
+    """The cached per-node read operators of the Trilinear spectral gain."""
+
+    def test_matches_reference_gain_relax_shape(self):
+        grid = GridSpec((1, 1, 1), (16, 16, 16), Lx=1.0, Lv=6.0)
+        rng = np.random.default_rng(41)
+        f = smooth_blob(grid, rng)
+        g = smooth_blob(grid, rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16))
+        want = reference_gain(f, g, cfg)
+        got = gain_term_spectral(f, g, cfg).data.real
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_reference_gain_over_x_chunks(self):
+        # 1024 x-cells at 8^3 span two x-chunks of the gain (732 cells each)
+        grid = GridSpec((16, 8, 8), (8, 8, 8), Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(42)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        g = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        want = reference_gain(f, g, cfg)
+        got = gain_term_spectral(f, g, cfg).data.real
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_second_call_hits_the_cache(self):
+        grid = oracle_grid()
+        f = smooth_blob(grid, np.random.default_rng(43))
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16))
+        C._gain_operators.cache_clear()
+        first = gain_term_spectral(f, f, cfg).data
+        hits = C._gain_operators.cache_info().hits
+        second = gain_term_spectral(f, f, cfg).data
+        assert C._gain_operators.cache_info().hits == hits + 1
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("change", ["margin", "weights", "nodes", "Lv"])
+    def test_changed_key_builds_fresh_operators(self, change):
+        # after a cached call, a call that differs in one key part must give
+        # what it gives on an empty cache, and differ from the cached call
+        rng = np.random.default_rng(44)
+        f = smooth_blob(oracle_grid(), rng)
+        g = smooth_blob(oracle_grid(), rng)
+        base = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16))
+        C._gain_operators.cache_clear()
+        before = gain_term_spectral(f, g, base).data
+        quad = base.quadrature
+        cfg = base
+        if change == "margin":
+            cfg = replace(base, dealias_margin=0.25)
+        elif change == "weights":
+            tilt = 1.0 + 0.5 * (-1.0) ** np.arange(len(quad))
+            cfg = replace(base, quadrature=SphereQuadrature(
+                quad.nodes, quad.weights * tilt))
+        elif change == "nodes":
+            other = SphereQuadrature.random(len(quad), seed=3)
+            assert np.array_equal(other.weights, quad.weights)
+            cfg = replace(base, quadrature=other)
+        else:
+            grid = GridSpec((1, 1, 1), (8, 8, 8), Lx=1.0, Lv=4.5)
+            f, g = (PhaseField(grid, h.data, FieldTag.Physical_xv)
+                    for h in (f, g))
+        cached = gain_term_spectral(f, g, cfg).data
+        C._gain_operators.cache_clear()
+        fresh = gain_term_spectral(f, g, cfg).data
+        assert np.array_equal(cached, fresh)
+        assert not np.array_equal(cached, before)
+
+    def test_cached_operators_are_read_only(self):
+        grid = oracle_grid()
+        f = smooth_blob(grid, np.random.default_rng(45))
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4))
+        gain_term_spectral(f, f, cfg)
+        ops = C._gain_operators(grid, cfg.quadrature.nodes.tobytes(),
+                                cfg.quadrature.weights.tobytes(),
+                                C._dealias_radius(grid, cfg.dealias_margin))
+        assert len(ops) == 4
+        for pair in ops:
+            for op in pair:
+                assert op.shape == (512, 16**3)
+                for arr in (op.data, op.indices, op.indptr):
+                    assert not arr.flags.writeable
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = C._gain_operators.cache_parameters()["maxsize"]
+        assert maxsize is not None and 1 <= maxsize <= 8
+
+
 class TestDirectGain:
     def test_zero_input_gives_zero(self):
         grid = oracle_grid()
@@ -312,6 +449,21 @@ class TestDirectGain:
         assert abs(m) / mg < 1e-12
         assert np.linalg.norm(p) / mg < 1e-12
         assert abs(e) / eg < 1e-12
+
+    @pytest.mark.parametrize("interp", [Interpolation.Trilinear,
+                                        Interpolation.Trig])
+    def test_x_blocks_leave_output_unchanged(self, interp, monkeypatch):
+        grid = GridSpec((2, 2, 2), (4, 4, 4), Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(46)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        g = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.octahedral(),
+                              interpolation=interp)
+        whole = gain_term_direct(f, g, cfg).data
+        # three rows of the (Nx, Nv^2) pair tensors per block: 3 blocks
+        monkeypatch.setattr(C, "_DIRECT_BLOCK_BYTES", 3 * 16 * 64**2)
+        blocked = gain_term_direct(f, g, cfg).data
+        assert np.array_equal(blocked, whole)
 
     def test_resolution_guard(self):
         grid = GridSpec((1, 1, 1), (16, 16, 16), Lx=1.0, Lv=4.0)
