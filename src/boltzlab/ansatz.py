@@ -382,13 +382,18 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     return (scale * out).reshape(lead)
 
 
-def rho_b_radial(p: AnsatzParams, t: float, r, n_angle: int = 96) -> np.ndarray:
-    """Angular-averaged tube density as a function of radius.
+_ANGLE_NODES = 96  # Gauss nodes per polar band of rho_b_radial
+
+
+def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
+    """Angular-averaged tube density at the radii r.
 
     Replaces the direction sum by (J/2) int_{-1}^{1} dc of the same per-tube
-    product -- the equidistribution limit of the Fibonacci grid.  Used by the
-    attenuation cache, whose own refinement criterion certifies the
-    substitution (the cavity radius is far inside the first angular zero).
+    product -- the equidistribution limit of the Fibonacci grid -- with one
+    Gauss rule on each band of c = cos(angle) where the integrand lives.  This is the density the attenuation cache integrates in time, so
+    the cached beta is a function of (t, |x|).  The cavity radius is far
+    inside the first angular zero, so the average is close to the direct tube
+    sum that uncached `beta_eval` integrates.
     """
     sm = _smear()
     c2g, t2 = sm.psi2_at(t)
@@ -407,7 +412,7 @@ def rho_b_radial(p: AnsatzParams, t: float, r, n_angle: int = 96) -> np.ndarray:
             bands = [(-1.0, -c_star), (c_star, 1.0)]
         acc = 0.0
         for lo, hi in bands:
-            c, w = gauss_on(lo, hi, n_angle)
+            c, w = gauss_on(lo, hi, _ANGLE_NODES)
             perp = ri * np.sqrt(np.clip(1.0 - c**2, 0.0, None))
             par = ri * c
             v2 = np.interp(p.M * perp, c2g, t2, right=0.0)
@@ -428,16 +433,21 @@ def rho_r_eval(p: AnsatzParams, t: float, x, beta=None) -> np.ndarray:
 # attenuation exponent beta
 # ---------------------------------------------------------------------------
 
+def _check_attenuation_time(p: AnsatzParams, t: float) -> None:
+    if not p.t_star - 1e-12 <= t <= 1e-12:
+        raise ValueError("attenuation time must lie in [t_star, 0]")
+
+
 def beta_eval(p: AnsatzParams, t: float, x, cache: "BetaCache | None" = None,
               rtol: float = 1e-5) -> np.ndarray:
     """beta(t, x) = int_0^t rho_b(t0, x) dt0 (<= 0 on [t_star, 0]).
 
-    With a cache, interpolates, clamping x to the cache box coordinatewise
-    (see BetaCache); without, integrates rho_b directly with a nested Gauss
-    rule and verifies convergence.
+    With a cache, reads its radial (t, |x|) table bilinearly after clipping
+    each coordinate of x to the cache box (see BetaCache); without, integrates
+    the direct tube sum rho_b_eval with a nested Gauss rule in time and
+    verifies convergence.  Either way t must lie in [t_star, 0].
     """
-    if not p.t_star - 1e-12 <= t <= 1e-12:
-        raise ValueError("attenuation time must lie in [t_star, 0]")
+    _check_attenuation_time(p, t)
     if cache is not None:
         return cache(t, x)
     X, lead = _as_points(x)
@@ -481,95 +491,70 @@ def _cavity_profile(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarra
 
 
 class BetaCache:
-    """Attenuation exponent on a (t, x) lattice, read multilinearly in (t, x).
+    """Attenuation exponent as a radial (t, |x|) table, read bilinearly.
 
-    The lattice covers [t_star, 0] x [-R, R]^3 with R a small margin past the
-    cavity support radius 1/M (beta is only ever needed where the cavity
-    profile is nonzero).  Each time interval is integrated with a short Gauss
-    rule and accumulated backward from beta(0) = 0.
+    beta is integrated from the angular-averaged density rho_b_radial, so it
+    depends on x only through |x|.  The table holds nt times evenly over
+    [t_star, 0] by 4 nx + 1 radii evenly over [0, R sqrt(3)], with R = 1.05/M
+    a small margin past the cavity support radius 1/M (beta is only ever
+    needed where the cavity profile is nonzero).  Each time interval is
+    integrated with a 2-node Gauss rule and accumulated backward from
+    beta(0) = 0.
 
     Reads clamp: each coordinate of x is clipped to [-R, R] on its own (the
-    box, not the ball |x| <= R), so a point outside the box reads the box
-    point nearest to it.  Every consumer multiplies by the cavity profile,
-    which vanishes there, but diagnostics read the cache past the box.
-
-    mode="radial" (default) evaluates the angular-averaged density and fills
-    the lattice radially; mode="exact" sums all J tubes at every lattice
-    point.  converged_beta_cache() implements the doubling criterion that
-    certifies whichever mode is in use.
+    box, not the ball |x| <= R), and the table is read at the radius of that
+    box point, which the radial axis reaches up to the corner R sqrt(3).  So
+    a point outside the box reads the box point nearest to it.  Every
+    consumer multiplies by the cavity profile, which vanishes there, but
+    diagnostics read the cache past the box.  converged_beta_cache() doubles
+    nt and nx until the reads stop changing.
     """
 
-    def __init__(self, p: AnsatzParams, nt: int = 64, nx: int = 32,
-                 mode: str = "radial", box_radius: float | None = None,
-                 time_quad: int = 2):
-        if mode not in ("radial", "exact"):
-            raise ValueError("mode must be 'radial' or 'exact'")
+    def __init__(self, p: AnsatzParams, nt: int = 64, nx: int = 32):
         if nt < 2 or nx < 2:
             raise ValueError("cache needs at least 2 nodes per axis")
         self.params = p
-        self.mode = mode
         self.nt, self.nx = int(nt), int(nx)
-        self.radius = float(box_radius) if box_radius else 1.05 / p.M
+        self.radius = 1.05 / p.M
         self.t_nodes = np.linspace(p.t_star, 0.0, self.nt)
-        ax = np.linspace(-self.radius, self.radius, self.nx + 1)
-        self.x_axis = ax
-        lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"),
-                           axis=-1).reshape(-1, 3)
+        self.r_axis = np.linspace(0.0, self.radius * math.sqrt(3.0), 4 * self.nx + 1)
 
-        if mode == "exact":
-            dens = lambda tq, pts: rho_b_eval(p, tq, pts)  # noqa: E731
-            pts = lattice
-        else:
-            r_axis = np.linspace(0.0, self.radius * math.sqrt(3.0), 4 * self.nx + 1)
-            dens = lambda tq, rr: rho_b_radial(p, tq, rr)  # noqa: E731
-            pts = r_axis
-
-        # accumulate int_{t_k}^{0} rho dt backward across the lattice times
-        vals = np.zeros((self.nt, pts.shape[0]))
+        # accumulate int_{t_k}^{0} rho dt backward across the table times
+        acc = np.zeros((self.nt, self.r_axis.size))
         for k in range(self.nt - 2, -1, -1):
-            tq, wq = gauss_on(self.t_nodes[k], self.t_nodes[k + 1], time_quad)
-            inc = np.zeros(pts.shape[0])
-            for t0, w0 in zip(tq, wq):
-                inc += w0 * dens(float(t0), pts)
-            vals[k] = vals[k + 1] + inc
-
-        if mode == "exact":
-            table = vals.reshape(self.nt, self.nx + 1, self.nx + 1, self.nx + 1)
-        else:
-            rad = np.linalg.norm(lattice, axis=1)
-            table = np.stack([np.interp(rad, pts, vals[k]) for k in range(self.nt)]
-                             ).reshape(self.nt, self.nx + 1, self.nx + 1, self.nx + 1)
-        self.table = -table  # beta(t) = -int_t^0 rho
+            tq, wq = gauss_on(self.t_nodes[k], self.t_nodes[k + 1], 2)
+            acc[k] = acc[k + 1] + sum(w0 * rho_b_radial(p, float(t0), self.r_axis)
+                                      for t0, w0 in zip(tq, wq))
+        self.table = -acc  # beta(t) = -int_t^0 rho
 
     def __call__(self, t: float, x) -> np.ndarray:
         p = self.params
-        if not p.t_star - 1e-9 <= t <= 1e-9:
-            raise ValueError("attenuation time must lie in [t_star, 0]")
+        _check_attenuation_time(p, t)
         X, lead = _as_points(x)
-        # clamp each coordinate to the lattice, then one 4-D read; time goes
-        # in cell units, so t = 0 lands exactly on the last node (beta = 0)
-        lo, hi = self.x_axis[0], self.x_axis[-1]
+        # clamp each coordinate to the box, then one bilinear read in
+        # (t, |x|); time goes in cell units, so t = 0 lands exactly on the
+        # last node (beta = 0)
+        r = np.linalg.norm(np.clip(X, -self.radius, self.radius), axis=1)
         k = (np.clip(t, p.t_star, 0.0) - p.t_star) / -p.t_star * (self.nt - 1)
-        tx = np.column_stack((np.full(X.shape[0], k), np.clip(X, lo, hi)))
-        h = self.x_axis[1] - lo
-        stencil = lattice_stencil(tx, (0.0, lo, lo, lo), (1.0, h, h, h),
-                                  self.table.shape)
+        stencil = lattice_stencil(np.column_stack((np.full(r.size, k), r)),
+                                  0.0, (1.0, self.r_axis[1]), self.table.shape)
         return lattice_read(self.table.reshape(-1), stencil).reshape(lead)
 
     def refine(self) -> "BetaCache":
-        return BetaCache(self.params, 2 * self.nt, 2 * self.nx, self.mode,
-                         self.radius)
+        return BetaCache(self.params, 2 * self.nt, 2 * self.nx)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.table)))
 
 
 def converged_beta_cache(p: AnsatzParams, tol: float = 0.005,
-                         nt: int = 16, nx: int = 8, mode: str = "radial",
+                         nt: int = 16, nx: int = 8,
                          max_rounds: int = 4) -> BetaCache:
-    """Double the cache lattice until the cavity attenuation factor
+    """Double the cache table until the cavity attenuation factor
     exp(-beta) changes by less than `tol` relative, and return that cache."""
-    cache = BetaCache(p, nt, nx, mode)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    cache = BetaCache(p, nt, nx)
     rng_pts = _probe_points(p)
     prev = np.exp(-cache(p.t_star, rng_pts))
     for _ in range(max_rounds):
@@ -756,7 +741,10 @@ def f_b_sobolev_norm(p: AnsatzParams, q: float) -> float:
 
 
 def _cavity_sheet_fft(p: AnsatzParams, t: float, beta, nx: int, pad: float):
-    """Sample g = exp(-beta) chi(M|x|) on a padded cavity box and FFT it."""
+    """Sample g = exp(-beta) chi(M|x|) on a padded cavity box and FFT it.
+
+    Returns g, its continuum transform, the per-axis frequency axis, the
+    cell volume and the frequency cell volume."""
     half = pad / p.M
     ax = -half + (2.0 * half / nx) * np.arange(nx)
     X = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -764,9 +752,8 @@ def _cavity_sheet_fft(p: AnsatzParams, t: float, beta, nx: int, pad: float):
     cell = (2.0 * half / nx) ** 3
     ghat = np.fft.fftn(g) * cell
     freq = np.fft.fftfreq(nx, d=2.0 * half / nx)
-    k2 = axis_sum(lambda a: freq**2)
     d_eta = (1.0 / (2.0 * half)) ** 3
-    return g, ghat, k2, cell, d_eta
+    return g, ghat, freq, cell, d_eta
 
 
 def f_r_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0, beta=None,
@@ -776,7 +763,8 @@ def f_r_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0, beta=None,
     c = default_bump().chi
     vsq = 4.0 * np.pi * p.N**3 * float(
         wr @ (c(r) ** 2 * (1.0 + (p.N * r) ** 2) ** q * r**2))
-    _, ghat, k2, _, d_eta = _cavity_sheet_fft(p, t, beta, nx, pad)
+    _, ghat, freq, _, d_eta = _cavity_sheet_fft(p, t, beta, nx, pad)
+    k2 = axis_sum(lambda a: freq**2)
     xsq = float(np.sum((1.0 + k2) ** q * np.abs(ghat) ** 2) * d_eta)
     return p.amp_r * math.sqrt(vsq * xsq)
 
@@ -814,12 +802,10 @@ def f_r_z_norm(p: AnsatzParams, t: float = 0.0, beta=None, nx: int = 64,
         wr @ (c(r) ** 2 * (1.0 + (p.N * r) ** 2) * r**2)))
     v_l1 = p.N**3 * bump.integral_3d
 
-    g, ghat, _, cell, _ = _cavity_sheet_fft(p, t, beta, nx, pad)
+    g, ghat, freq, cell, _ = _cavity_sheet_fft(p, t, beta, nx, pad)
     x_l2 = math.sqrt(float(np.sum(g**2)) * cell)
     # |grad g| via per-axis spectral derivatives
     mag2 = np.zeros_like(g)
-    n = g.shape[0]
-    freq = np.fft.fftfreq(n, d=(2.0 * pad / p.M) / n)
     for a in range(3):
         deriv = ghat * (2j * np.pi) * on_axes(freq, (a,), 3)
         mag2 += np.real(np.fft.ifftn(deriv) / cell) ** 2

@@ -352,19 +352,34 @@ class TestBeta:
         assert all(0.8 < c < 1.1 for c in consts)
         assert max(consts) / min(consts) < 1.3
 
-    def test_radial_mode_matches_exact_mode(self, p4):
-        rad = BetaCache(p4, nt=16, nx=8, mode="radial")
-        exact = BetaCache(p4, nt=16, nx=8, mode="exact")
-        diff = np.max(np.abs(np.exp(-rad.table) - np.exp(-exact.table)))
-        assert diff < 2e-3
+    def test_radial_table_matches_direct(self, p4):
+        # the coarse radial cache against the direct tube sum, at 40 seeded
+        # points of the 9^3 box lattice and at lattice and off-lattice times
+        cache = BetaCache(p4, nt=16, nx=8)
+        ax = np.linspace(-cache.radius, cache.radius, 9)
+        lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        pts = lattice[np.random.default_rng(5).choice(len(lattice), 40,
+                                                      replace=False)]
+        for t in (p4.t_star, cache.t_nodes[5], 0.37 * p4.t_star):
+            diff = np.abs(np.exp(-cache(t, pts))
+                          - np.exp(-beta_eval(p4, float(t), pts)))
+            assert np.max(diff) < 2e-3
 
-    def test_converged_cache_matches_direct(self, p8, caches):
-        _, cache = caches[8]
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    def test_converged_cache_matches_direct(self, caches, M):
+        p, cache = caches[M]
         rng = np.random.default_rng(9)
-        pts = rng.uniform(-0.9 / p8.M, 0.9 / p8.M, (25, 3))
-        direct = beta_eval(p8, p8.t_star, pts)
-        interp = cache(p8.t_star, pts)
-        assert np.max(np.abs(interp - direct) / np.abs(direct)) < 1e-2
+        pts = rng.uniform(-0.9 / p.M, 0.9 / p.M, (25, 3))
+        direct = beta_eval(p, p.t_star, pts)
+        interp = cache(p.t_star, pts)
+        assert np.max(np.abs(interp - direct) / np.abs(direct)) < 4e-3
+
+    def test_unconverged_cache_refused(self, p4):
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            converged_beta_cache(p4, tol=1e-12, max_rounds=1)
+        with pytest.raises(ValueError, match="max_rounds"):
+            converged_beta_cache(p4, max_rounds=0)
 
     def test_clamps_each_coordinate_to_the_box(self, caches):
         # outside [-R, R]^3 a read returns the read at the box point nearest
@@ -393,8 +408,11 @@ class TestBeta:
             beta_eval(p8, 0.1, np.zeros(3))
         with pytest.raises(ValueError, match="t_star"):
             cache(2 * p8.t_star, np.zeros(3))
-        with pytest.raises(ValueError, match="mode"):
-            BetaCache(p8, mode="spline")
+        # the same window with and without a cache
+        with pytest.raises(ValueError, match="t_star"):
+            beta_eval(p8, 1e-10, np.zeros(3))
+        with pytest.raises(ValueError, match="t_star"):
+            cache(1e-10, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
