@@ -11,19 +11,22 @@ on a 2x zero-padded spectral lattice (default) or by exact trigonometric
 sums (oracle runs).  The trilinear reads are cached operators: per node q,
 one real CSR pair (S+_q, S-_q) of shape (Nv, prod(2*nv)), so that
 
-    Qhat+ = sum_q (S+_q F) (S-_q G),   F, G the padded spectra,
+    Qhat+ = sum_q (S+_q F) (S-_q G),   F, G the raw padded DFTs,
 
-followed by the inverse transform.  Their weights fold in the node weight
-(+ side) and the dealias ball at the read point; their columns fold in the
-fftshift of the padded lattice and the ball on it, so the spectrum is read
-straight from the FFT.  The operators are keyed on (grid, nodes, weights,
-ball radius), and the four latest sets stay cached, so a time loop builds
-them once.  A direct physical-space quadrature — for each output velocity,
-f and g read at the outgoing pair of every collision partner on the
-lattice — serves as a brute-force cross-check on small v-grids.  Both
-trilinear paths read through the one zero-extended multilinear stencil
-`grids.lattice_stencil`.  Input supports are confined to the ball of
-radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
+followed by the inverse transform.  F is a pruned transform: one axis at a
+time, over the slabs that are not all zeros; when g is f it is taken once.
+The operator weights fold in the node weight and cell_v**2 (+ side), the
+dealias ball at the read point and the (-1)^k edge sign of each column;
+the columns fold in the fftshift of the padded lattice and the ball on it,
+so the spectrum is read straight from the FFT.  The operators are keyed on
+(grid, nodes, weights, ball radius), and the four latest sets stay cached,
+so a time loop builds them once.  A direct physical-space quadrature —
+for each output velocity, f and g read at the outgoing pair of every
+collision partner on the lattice — serves as a brute-force cross-check on
+small v-grids.  Both trilinear paths read through the one zero-extended
+multilinear stencil `grids.lattice_stencil`.  Input supports are confined
+to the ball of radius (1 - dealias_margin) * Nyquist so that no
+evaluation wraps around.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .grids import (
     PhaseField,
     Storage,
     VSlicedField,
+    _apply_axes_phase,
     _ft,
     _ift,
     axis_sum,
@@ -150,8 +154,10 @@ class CollisionConfig:
     margin no in-ball read reaches the last padded cell.  The Trilinear
     spectral gain caches its read operators per (grid, quadrature nodes and
     weights, ball radius), holding the four latest; the node weights, the
-    ball and the padded lattice's fftshift are folded into them.  direct_cap
-    guards the brute-force oracle's cost.
+    cell_v**2 of the two forward transforms, the ball, the (-1)^k edge
+    sign and the padded lattice's fftshift are folded into them, so they
+    read the raw padded DFT.  direct_cap guards the brute-force oracle's
+    cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -235,15 +241,20 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
 
 
 def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward v-transform of (c, nv) physical data zero-padded to the
-    doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing
-    1/(4Lv)), in FFT order with the chunk axis last: the contiguous
-    (prod(2*nv), c) lattice that the gain operators read."""
-    c = chunk.shape[0]
-    nv = grid.nv
-    padded = np.zeros(tuple(2 * n for n in nv) + (c,), dtype=np.complex128)
-    padded[tuple(slice(n // 2, n // 2 + n) for n in nv)] = np.moveaxis(chunk, 0, -1)
-    return _ft(padded, (0, 1, 2), grid.cell_v).reshape(-1, c)
+    """Raw DFT of (c, nv) physical data zero-padded to the doubled box
+    [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)), in FFT
+    order with the chunk axis last: the contiguous (prod(2*nv), c) lattice
+    that the gain operators read.  Edge phase and cell volume are left to
+    the operators.  Axes are padded and transformed one at a time (2, 1,
+    0), so each 1-D FFT runs only over slabs that are not all zeros."""
+    spec = np.moveaxis(chunk, 0, -1)
+    for a in (2, 1, 0):
+        n = grid.nv[a]
+        padded = np.zeros(spec.shape[:a] + (2 * n,) + spec.shape[a + 1:],
+                          dtype=np.complex128)
+        padded[(slice(None),) * a + (slice(n // 2, n // 2 + n),)] = spec
+        spec = np.fft.fft(padded, axis=a, out=padded)
+    return spec.reshape(-1, chunk.shape[0])
 
 
 def _read_operator(idx: np.ndarray, w: np.ndarray,
@@ -268,11 +279,14 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
     multilinear reads at xi+ = xi - (xi.w)w and xi- = (xi.w)w for every xi
     of the lattice (FFT order).
 
-    The weights fold in the node weight w_q (+ side only) and the dealias
-    ball at the read point; the columns fold in the fftshift that centres
-    the padded lattice and the ball on it.  So S F equals the read of the
-    shifted, ball-masked spectrum, and a time loop pays the build once per
-    (grid, nodes, weights, radius); the four latest sets stay cached."""
+    The operators act on the raw padded DFT of `_padded_spectrum`.  The
+    weights fold in the node weight w_q and cell_v**2 (+ side only), the
+    dealias ball at the read point and the (-1)^k edge sign of each
+    corner's column; the columns fold in the fftshift that centres the
+    padded lattice and the ball on it.  So (S+ F)(S- G) equals the product
+    of the reads of the shifted, ball-masked continuum spectra, and a time
+    loop pays the build once per (grid, nodes, weights, radius); the four
+    latest sets stay cached."""
     nodes = np.frombuffer(nodes).reshape(-1, 3)
     weights = np.frombuffer(weights)
     xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
@@ -282,17 +296,19 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
     origin = -np.array(nv) * step
     # shifted lattice index -> column of the FFT-order padded spectrum
     column = np.fft.fftshift(np.arange(math.prod(pshape)).reshape(pshape)).ravel()
+    sign = _apply_axes_phase(np.ones(pshape), (0, 1, 2)).ravel()
     r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * step) ** 2)
     ball = (r2 <= radius**2).ravel()
     ops = []
     for w_q, omega in zip(weights, nodes):
         xim = (xi @ omega)[:, None] * omega[None, :]
         pair = []
-        for scale, pts in ((w_q, xi - xim), (1.0, xim)):
+        for scale, pts in ((w_q * grid.cell_v**2, xi - xim), (1.0, xim)):
             idx, w = lattice_stencil(pts, origin, step, pshape)
             inside = np.sum(pts**2, axis=1) <= radius**2
-            w = w * (ball[idx] & inside) * scale
-            pair.append(_read_operator(column[idx], w, column.size))
+            col = column[idx]
+            w = w * (ball[idx] & inside) * sign[col] * scale
+            pair.append(_read_operator(col, w, column.size))
         ops.append(tuple(pair))
     return tuple(ops)
 
@@ -372,6 +388,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
 
     fd = f.data.reshape((nxtot,) + grid.nv)
     gd = g.data.reshape((nxtot,) + grid.nv)
+    same = g is f or g.data is f.data
     out = np.empty((nxtot, nvtot), dtype=np.complex128)
 
     # keep each padded spectral chunk around 50 MB (8x entries after padding)
@@ -382,7 +399,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
             # the real operators act on the float64 view of the complex
             # spectrum: 2c real columns, no complex copy of the matrices
             Fl = _padded_spectrum(fd[lo:hi], grid).view(np.float64)
-            Gl = _padded_spectrum(gd[lo:hi], grid).view(np.float64)
+            Gl = Fl if same else _padded_spectrum(gd[lo:hi], grid).view(np.float64)
             acc = np.zeros((nvtot, hi - lo), dtype=np.complex128)
             for sp, sm in ops:
                 acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)

@@ -421,6 +421,35 @@ class TestGainOperators:
         maxsize = C._gain_operators.cache_parameters()["maxsize"]
         assert maxsize is not None and 1 <= maxsize <= 8
 
+    @pytest.mark.parametrize("nx, nv, Lv", [((16, 8, 8), (8, 8, 8), 4.0),
+                                            ((1, 1, 1), (16, 16, 16), 6.0)])
+    def test_same_field_equals_its_copy(self, nx, nv, Lv):
+        # g is f transforms once; per x-chunk it must equal a distinct copy
+        grid = GridSpec(nx, nv, Lx=1.0, Lv=Lv)
+        rng = np.random.default_rng(46)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        other = PhaseField(grid, f.data.copy(), FieldTag.Physical_xv)
+        assert np.array_equal(gain_term_spectral(f, f, cfg).data,
+                              gain_term_spectral(f, other, cfg).data)
+
+
+class TestPaddedSpectrum:
+    """The pruned padded transform against a full FFT of the padded block."""
+
+    @pytest.mark.parametrize("nv, c", [((8, 8, 8), 732), ((16, 16, 16), 1),
+                                       ((8, 4, 2), 5)])
+    def test_matches_fftn_of_zero_padded_block(self, nv, c):
+        grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(47)
+        chunk = rng.standard_normal((c,) + nv) + 1j * rng.standard_normal((c,) + nv)
+        padded = np.zeros(tuple(2 * n for n in nv) + (c,), dtype=complex)
+        padded[tuple(slice(n // 2, n // 2 + n) for n in nv)] = np.moveaxis(chunk, 0, -1)
+        want = np.fft.fftn(padded, axes=(0, 1, 2)).reshape(-1, c)
+        got = C._padded_spectrum(chunk, grid)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 class TestDirectGain:
     def test_zero_input_gives_zero(self):
