@@ -13,10 +13,15 @@ The objects built here are closed-form fields on R^3 x R^3:
 
 Everything is evaluated from the radial bump tables in `bump`; the only
 numerics are low-dimensional quadratures and table lookups, so point
-evaluation stays cheap even with 65536 tubes.  Norms of the construction
-(weighted Sobolev and the Z norm) are computed semi-analytically: the tube
-velocity supports are pairwise disjoint on the Fibonacci grid, so cross terms
-vanish and per-tube closed forms add exactly.
+evaluation stays cheap even with 65536 tubes.  The dense sums over all J
+tubes run over blocks of directions from `grids.blocks`, so every
+(points x directions) temporary stays within the package's 2 MiB block
+budget, and the smear tables, uniform from 0, are read by index arithmetic
+with `grids.uniform_read` rather than a binary search.
+
+Norms of the construction (weighted Sobolev and the Z norm) are computed
+semi-analytically: the tube velocity supports are pairwise disjoint on the
+Fibonacci grid, so cross terms vanish and per-tube closed forms add exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from scipy.spatial import cKDTree
 from .bump import default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
 from .grids import (FieldTag, GridSpec, PhaseField, VSlicedField, axis_sum,
-                    eta_dot_v, lattice_read, lattice_stencil, on_axes)
+                    blocks, eta_dot_v, lattice_read, lattice_stencil, on_axes,
+                    uniform_read)
 
 __all__ = [
     "AnsatzParams",
@@ -331,10 +337,8 @@ def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
         sub = np.zeros(rows.size)
         r2x = np.einsum("ij,ij->i", Xa, Xa)
         r2v = np.einsum("ij,ij->i", Va, Va)
-        E = p.directions
-        block = max(1, (1 << 23) // max(rows.size, 1))
-        for j0 in range(0, p.J, block):
-            Eb = E[j0:j0 + block]
+        for sl in blocks(p.J, rows.size):
+            Eb = p.directions[sl]
             dx = Xa @ Eb.T  # (rows, B)
             dv = Va @ Eb.T
             perp_x = np.sqrt(np.clip(r2x[:, None] - dx**2, 0.0, None))
@@ -351,7 +355,10 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
 
     Exact per-tube closed form through the smear tables; the sum runs over
     all J tubes (no equidistribution shortcut), so the discreteness of the
-    direction grid is faithfully present in the result.
+    direction grid is faithfully present in the result.  The directions go
+    in blocks that keep each (points x directions) temporary within the
+    block budget of `grids.blocks`, and both smear tables are read with
+    `grids.uniform_read`, which equals np.interp(..., right=0) on them.
     """
     if abs(t) > 0.25 + 1e-12:
         raise ValueError("standing time window requires |t| <= 1/4")
@@ -368,14 +375,13 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
         Xa = X[rows]
         r2 = np.einsum("ij,ij->i", Xa, Xa)
         sub = np.zeros(rows.size)
-        E = p.directions
-        block = max(1, (1 << 23) // max(rows.size, 1))
-        for j0 in range(0, p.J, block):
-            Eb = E[j0:j0 + block]
-            dots = Xa @ Eb.T
+        for sl in blocks(p.J, rows.size):
+            dots = Xa @ p.directions[sl].T
             perp = np.sqrt(np.clip(r2[:, None] - dots**2, 0.0, None))
-            v2 = np.interp(p.M * perp, c2g, t2, right=0.0)
-            v1 = np.interp(np.abs(dots - t * p.N2) / p.N2, c1g, t1, right=0.0)
+            # Psi2 at M |x_perp| and Psi1 at |x_par - t N2| / N2, the scales
+            # folded into the table steps
+            v2 = uniform_read(perp, t2, c2g[1] / p.M)
+            v1 = uniform_read(np.abs(dots - t * p.N2), t1, c1g[1] * p.N2)
             sub += (v2 * v1).sum(axis=1)
         out[rows] = sub
     scale = p.amp_b * p.N2 / (10.0 * p.M**2)
@@ -390,35 +396,33 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
 
     Replaces the direction sum by (J/2) int_{-1}^{1} dc of the same per-tube
     product -- the equidistribution limit of the Fibonacci grid -- with one
-    Gauss rule on each band of c = cos(angle) where the integrand lives.  This is the density the attenuation cache integrates in time, so
-    the cached beta is a function of (t, |x|).  The cavity radius is far
-    inside the first angular zero, so the average is close to the direct tube
-    sum that uncached `beta_eval` integrates.
+    Gauss rule on each band of c = cos(angle) where the integrand lives,
+    all radii at once.  This is the density the attenuation cache integrates
+    in time, so the cached beta is a function of (t, |x|).  The cavity radius
+    is far inside the first angular zero, so the average is close to the
+    direct tube sum that uncached `beta_eval` integrates.
     """
     sm = _smear()
     c2g, t2 = sm.psi2_at(t)
     c1g, t1 = sm.psi1_at(t / 10.0)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty(r.shape)
-    for i, ri in enumerate(r):
-        # the perpendicular cut M r sin(theta) <= c2_max confines the
-        # integrand to polar caps |c| >= c_star; put a full rule on each cap
-        # so large radii stay resolved
-        a = c2g[-1] / max(p.M * ri, 1e-300)
-        if a >= 1.0:
-            bands = [(-1.0, 1.0)]
-        else:
-            c_star = math.sqrt(1.0 - a * a)
-            bands = [(-1.0, -c_star), (c_star, 1.0)]
-        acc = 0.0
-        for lo, hi in bands:
-            c, w = gauss_on(lo, hi, _ANGLE_NODES)
-            perp = ri * np.sqrt(np.clip(1.0 - c**2, 0.0, None))
-            par = ri * c
-            v2 = np.interp(p.M * perp, c2g, t2, right=0.0)
-            v1 = np.interp(np.abs(par - t * p.N2) / p.N2, c1g, t1, right=0.0)
-            acc += float((v2 * v1) @ w)
-        out[i] = acc
+    rr = r.reshape(-1, 1)
+    # the perpendicular cut M r sin(theta) <= c2_max confines the integrand
+    # to polar caps |c| >= c_star; put a full rule on each cap so large radii
+    # stay resolved, and one rule on [-1, 1] (an empty lower cap) otherwise
+    mr = p.M * rr
+    split = mr > c2g[-1]
+    lo = np.where(split, np.sqrt(1.0 - (c2g[-1] / np.maximum(mr, c2g[-1])) ** 2),
+                  -1.0)
+    u, wu = gauss_on(0.0, 1.0, _ANGLE_NODES)
+    c = lo + (1.0 - lo) * u  # upper cap (c_star, 1), or all of [-1, 1]
+    w = (1.0 - lo) * wu
+    c = np.concatenate((-c, c), axis=1)  # the lower cap mirrors the upper
+    w = np.concatenate((w * split, w), axis=1)
+    v2 = uniform_read(rr * np.sqrt(np.clip(1.0 - c**2, 0.0, None)), t2,
+                      c2g[1] / p.M)
+    v1 = uniform_read(np.abs(rr * c - t * p.N2), t1, c1g[1] * p.N2)
+    out = np.einsum("ij,ij,ij->i", v2, v1, w).reshape(r.shape)
     return p.amp_b * p.N2 / (10.0 * p.M**2) * (p.J / 2.0) * out
 
 

@@ -30,6 +30,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
+from .grids import blocks, uniform_read
+
 __all__ = [
     "BumpProfile",
     "TimeCutoff",
@@ -142,6 +144,12 @@ class BumpProfile:
         dim 3:  4 pi int chi(r) sinc(2 rho r) r^2 dr      (numpy sinc)
     Below rho_min the transforms are evaluated by their even Taylor expansion
     about 0; beyond rho_max they are 0 (the tail is below 1e-12 there).
+
+    The transform tables and the round-trip check are built in row blocks of
+    the `grids.blocks` budget, not as whole (n_rho x quad_nodes) outer
+    products.  At power-of-two sizes every block holds a power-of-two number
+    of rows, and the tables equal the whole-matrix products bit for bit.
+    The marginals are read with `grids.uniform_read`.
     """
 
     def __init__(self, n_radial: int = 512, rho_max: float = 64.0,
@@ -174,12 +182,14 @@ class BumpProfile:
         # transform tables ---------------------------------------------------
         self.rho_grid = np.exp(
             np.linspace(np.log(self.rho_min), np.log(self.rho_max), int(n_rho)))
-        arg = np.outer(self.rho_grid, rq)  # (n_rho, quad)
-        self.hat_tables = {
-            1: 2.0 * (np.cos(2.0 * np.pi * arg) * cq) @ wq,
-            2: 2.0 * np.pi * (j0(2.0 * np.pi * arg) * (cq * rq)) @ wq,
-            3: 4.0 * np.pi * (np.sinc(2.0 * arg) * (cq * rq**2)) @ wq,
-        }
+        self.hat_tables = {d: np.empty(self.rho_grid.size) for d in (1, 2, 3)}
+        for sl in blocks(self.rho_grid.size, rq.size):
+            arg = np.outer(self.rho_grid[sl], rq)  # (rows, quad)
+            self.hat_tables[1][sl] = 2.0 * (np.cos(2.0 * np.pi * arg) * cq) @ wq
+            self.hat_tables[2][sl] = (2.0 * np.pi
+                                      * (j0(2.0 * np.pi * arg) * (cq * rq)) @ wq)
+            self.hat_tables[3][sl] = (4.0 * np.pi
+                                      * (np.sinc(2.0 * arg) * (cq * rq**2)) @ wq)
         # Even Taylor data for rho < rho_min:  hat_d(rho) ~ zero_d - curv_d rho^2.
         four_pi2 = (2.0 * np.pi) ** 2
         self._hat_zero = {1: self.integral_1d, 2: self.integral_2d,
@@ -237,14 +247,14 @@ class BumpProfile:
         """
         s = np.abs(np.asarray(s, dtype=float))
         table = self._plane_cum[bool(squared)]
-        return np.interp(s, self._plane_grid, table, right=0.0)
+        return uniform_read(s, table, self._plane_grid[1])
 
     def line_marginal(self, s, squared: bool = False) -> np.ndarray:
         """Integral of chi(|(s, u)|) (or chi^2) over u in R^1: the chord
         profile of the sharpness integral."""
         s = np.abs(np.asarray(s, dtype=float))
         table = self._line_tables[bool(squared)]
-        return np.interp(s, self._line_grid, table, right=0.0)
+        return uniform_read(s, table, self._line_grid[1])
 
     # -- internal ----------------------------------------------------------
 
@@ -252,10 +262,13 @@ class BumpProfile:
         """Sup-norm error of the inverse 3D transform of the table vs chi."""
         rho, w = gauss_on(0.0, self.rho_max, 4096)
         hat = self.hat(rho, dim=3)
-        # inverse transform has the identical radial kernel
-        kernel = np.sinc(2.0 * np.outer(self.r_grid, rho))
-        rec = 4.0 * np.pi * (kernel * (hat * rho**2)) @ w
-        return float(np.max(np.abs(rec - self.chi_table)))
+        err = 0.0
+        for sl in blocks(self.r_grid.size, rho.size):
+            # inverse transform has the identical radial kernel
+            kernel = np.sinc(2.0 * np.outer(self.r_grid[sl], rho))
+            rec = 4.0 * np.pi * (kernel * (hat * rho**2)) @ w
+            err = max(err, float(np.max(np.abs(rec - self.chi_table[sl]))))
+        return err
 
 
 def _right_cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -309,8 +322,10 @@ class TimeCutoff:
         t, w = gauss_on(0.0, self.plateau + self.ramp, 2048)
         th = self(t)
         self.a_grid = np.linspace(0.0, self.a_max, int(n_a))
-        kernel = np.cos(2.0 * np.pi * np.outer(self.a_grid, t))
-        self.hat_table = 2.0 * (kernel * (th * w)).sum(axis=1)
+        self.hat_table = np.empty(self.a_grid.size)
+        for sl in blocks(self.a_grid.size, t.size):
+            kernel = np.cos(2.0 * np.pi * np.outer(self.a_grid[sl], t))
+            self.hat_table[sl] = 2.0 * (kernel * (th * w)).sum(axis=1)
         self._hat_spline = CubicSpline(self.a_grid, self.hat_table)
 
     def __call__(self, t) -> np.ndarray:

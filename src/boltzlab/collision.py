@@ -50,6 +50,7 @@ from .grids import (
     _ft,
     _ift,
     axis_sum,
+    blocks,
     lattice_read,
     lattice_stencil,
     on_axes,
@@ -58,9 +59,6 @@ from .grids import (
 logger = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * math.pi
-
-# target size of one x-block of the direct gain's pair tensors
-_DIRECT_BLOCK_BYTES = 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +436,9 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
     edge tails).  Over the octahedral node set the outgoing pair lies on
     the lattice itself, every read is exact, and p<->q swap symmetry forces
     the moments of Q(f,f) to vanish to machine precision.  The v-resolution
-    guard keeps the Nv^2 pair tensor affordable, and x runs in blocks of
-    about 64 MB of it."""
+    guard keeps the Nv^2 pair tensor affordable, and x runs in blocks of it
+    sized by `grids.blocks` (one x row at a time once a row exceeds the
+    budget)."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
     _require_full_physical(f, "gain")
@@ -463,7 +462,6 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
 
     # x-blocks keep each (rows, Nv^2) complex pair tensor near the budget;
     # rows are independent, so the blocking leaves every output bit unchanged
-    rows = max(1, _DIRECT_BLOCK_BYTES // (16 * nvtot**2))
     out = np.zeros((nxtot, nvtot), dtype=np.complex128)
     for w_i, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
         k = (V[:, None, :] - V[None, :, :]) @ omega  # (Nv_v, Nv_u)
@@ -475,20 +473,20 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
         else:
             sv = lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv)
             su = lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)
-        for lo in range(0, nxtot, rows):
-            hi = min(lo + rows, nxtot)
+        for sl in blocks(nxtot, 2 * nvtot**2):  # complex: two float64 each
             if trig:
-                fv = np.zeros((hi - lo, vstar.shape[0]), dtype=np.complex128)
+                fv = np.zeros((sl.stop - sl.start, vstar.shape[0]),
+                              dtype=np.complex128)
                 gu = np.zeros_like(fv)
-                fv[:, iv] = _tensor_trig_eval(spec_f[lo:hi], xiaxes, vstar[iv],
+                fv[:, iv] = _tensor_trig_eval(spec_f[sl], xiaxes, vstar[iv],
                                               +1.0) * grid.cell_xi
-                gu[:, iu] = _tensor_trig_eval(spec_g[lo:hi], xiaxes, ustar[iu],
+                gu[:, iu] = _tensor_trig_eval(spec_g[sl], xiaxes, ustar[iu],
                                               +1.0) * grid.cell_xi
             else:
-                fv = lattice_read(fd[lo:hi], sv)
-                gu = lattice_read(gd[lo:hi], su)
-            prod = (fv * gu).reshape(hi - lo, nvtot, nvtot)
-            out[lo:hi] += w_i * prod.sum(axis=2)
+                fv = lattice_read(fd[sl], sv)
+                gu = lattice_read(gd[sl], su)
+            prod = (fv * gu).reshape(-1, nvtot, nvtot)
+            out[sl] += w_i * prod.sum(axis=2)
     out *= grid.cell_v
     return PhaseField(grid, out.reshape(grid.shape), FieldTag.Physical_xv)
 

@@ -338,8 +338,39 @@ def eta_dot_v(grid: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# multilinear lattice reads
+# block budget
 # ---------------------------------------------------------------------------
+
+#: float64 elements per dense temporary (2 MiB): small enough to stay in
+#: cache, large enough that numpy's per-call overhead is amortised
+_BLOCK = 1 << 18
+
+
+def blocks(n: int, per_item: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n), each holding as many items as
+    fit the block budget at per_item elements per item (at least one)."""
+    step = max(1, _BLOCK // max(per_item, 1))
+    for a in range(0, n, step):
+        yield slice(a, min(a + step, n))
+
+
+# ---------------------------------------------------------------------------
+# lattice reads
+# ---------------------------------------------------------------------------
+
+def uniform_read(u, table: np.ndarray, step: float) -> np.ndarray:
+    """Linear read of the samples table[k] at k * step (k = 0, 1, ...) at
+    u >= 0, zero past the last sample: np.interp(u, step * arange(n), table,
+    right=0) by index arithmetic instead of a binary search."""
+    s = np.asarray(u, dtype=float) * (1.0 / step)
+    last = table.shape[0] - 1
+    # the last sample's slope is 0, so a read at u = last * step is exact
+    k = np.minimum(s, last).astype(np.intp)
+    out = np.append(np.diff(table), 0.0)[k]
+    out *= s - k
+    out += table[k]
+    return np.where(s <= last, out, 0.0)
+
 
 def lattice_stencil(points: np.ndarray, lo, step,
                     shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ stratification happens in the reduced coordinates).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import TubeFamily, _as_pairs, _is_dyadic
-from .bump import BumpProfile, TimeCutoff, default_bump, default_cutoff, gauss_on
+from .bump import BumpProfile, default_bump, default_cutoff, gauss_on
+from .grids import blocks, uniform_read
 
 __all__ = [
     "QuadratureBudgetError",
@@ -44,8 +46,6 @@ __all__ = [
 
 #: refinement ladder of per-axis Gauss orders for the reduced integral
 _LEVELS = (12, 16, 20, 24, 28, 32, 40, 48, 56, 64, 80, 96, 112, 128)
-
-_EVAL_BLOCK = 1 << 23
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -123,13 +123,11 @@ class SharpnessFunctions:
         live = (speed >= 0.9 * self.N2) & (speed <= outer)
         if np.any(live):
             el, wl = e2[live], w2[live]
-            dirs = self.family.directions
             total = np.zeros(el.shape[0])
-            block = max(1, _EVAL_BLOCK // max(el.shape[0], 1))
             e2sq = np.sum(el**2, axis=1)
             v2sq = np.sum(wl**2, axis=1)
-            for a in range(0, dirs.shape[0], block):
-                E = dirs[a:a + block]
+            for sl in blocks(self.J, el.shape[0]):
+                E = self.family.directions[sl]
                 de = el @ E.T
                 dv = wl @ E.T
                 pe = np.sqrt(np.clip(e2sq[:, None] - de**2, 0.0, None))
@@ -173,23 +171,29 @@ def _ball_correlation(M1: float, Mx: float, n_r: int = 385):
     u, wu = gauss_on(-M1, M1, 96)          # coordinate along e
     rho, wrho = gauss_on(0.0, M1, 96)      # cylindrical radius
     cyl = b.chi(np.sqrt(u[:, None] ** 2 + rho[None, :] ** 2) / M1)
-    dist = np.sqrt((u[None, :, None] + r[:, None, None]) ** 2
-                   + rho[None, None, :] ** 2)
-    vals = 2.0 * np.pi * np.einsum(
-        "i,j,ij,rij->r", wu, wrho * rho, cyl, b.chi(dist / Mx))
+    vals = np.empty(n_r)
+    for sl in blocks(n_r, u.size * rho.size):
+        dist = np.sqrt((u[None, :, None] + r[sl, None, None]) ** 2
+                       + rho[None, None, :] ** 2)
+        vals[sl] = 2.0 * np.pi * np.einsum(
+            "i,j,ij,rij->r", wu, wrho * rho, cyl, b.chi(dist / Mx))
     return r, vals
 
 
-def _window_table(cutoff: TimeCutoff, q_max: float, c_max: float,
-                  n_q: int = 1153, n_c: int = 65):
+@lru_cache(maxsize=8)
+def _window_table(q_max: float, c_max: float, n_q: int = 1153, n_c: int = 65):
     """V(q, c) = int_{-1}^{1} S(tau) theta_hat(q - c tau) dtau, with S the
-    squared plane marginal of the bump (its plane slices)."""
+    squared plane marginal of the bump (its plane slices) and theta the
+    default time cutoff."""
+    cutoff = default_cutoff()
     tau, wt = gauss_on(-1.0, 1.0, 96)
     s_vals = default_bump().plane_marginal(tau, squared=True)
     q = np.linspace(-q_max, q_max, n_q)
     c = np.linspace(0.0, max(c_max, 1e-9), n_c)
-    args = q[:, None, None] - c[None, :, None] * tau[None, None, :]
-    table = cutoff.hat(args) @ (s_vals * wt)
+    table = np.empty((n_q, n_c))
+    for sl in blocks(n_q, n_c * tau.size):
+        args = q[sl, None, None] - c[None, :, None] * tau[None, None, :]
+        table[sl] = cutoff.hat(args) @ (s_vals * wt)
     return q, c, table
 
 
@@ -227,8 +231,7 @@ class _ReducedIntegrand:
         self.prefactor = math.pi / 5.0 * (M2 * N2) * (M1 * mx) ** -1.5
         self.corr_r, self.corr_v = _ball_correlation(M1, mx)
         c_max = N * min(math.hypot(1.0 / N2, M2), M1 + mx) * 1.0001
-        self.q_grid, self.c_grid, self.table = _window_table(
-            default_cutoff(), q_max=2.3, c_max=c_max)
+        self.q_grid, self.c_grid, self.table = _window_table(2.3, c_max)
         self.q0 = self.q_grid[0]
         self.dq = self.q_grid[1] - self.q_grid[0]
         self.dc = self.c_grid[1] - self.c_grid[0]
@@ -242,16 +245,13 @@ class _ReducedIntegrand:
         fac_ub = fac_ub * wu[:, None] * wb[None, :]
         fw = self.bump.chi(np.abs(w)) * ww
         fz = self.bump.line_marginal(z) * wz
-        chunk = max(1, _EVAL_BLOCK // (n * n * n))
         total = 0.0
-        for a in range(0, n, chunk):
-            uc = u[a:a + chunk]
-            q = (uc[:, None, None, None] * (1.0 + w[None, None, :, None] / 10.0)
+        for sl in blocks(n, n**3):
+            q = (u[sl, None, None, None] * (1.0 + w[None, None, :, None] / 10.0)
                  + (b[:, None] * z[None, :])[None, :, None, :])
             vq = _bilinear(self.table, self.q0, self.dq, self.dc, q,
-                           c_ub[a:a + chunk][:, :, None, None])
-            total += float(np.einsum("ub,w,z,ubwz->", fac_ub[a:a + chunk],
-                                     fw, fz, vq))
+                           c_ub[sl, :, None, None])
+            total += float(np.einsum("ub,w,z,ubwz->", fac_ub[sl], fw, fz, vq))
         return self.prefactor * total
 
     def _point_values(self, u, b, w, z):
@@ -266,29 +266,31 @@ class _ReducedIntegrand:
         """chi(u) chi(b) b C(r) and the table ordinate c = r N, with u and b
         broadcast against each other."""
         r = np.sqrt((u / self.N2) ** 2 + (self.M2 * b) ** 2)
-        corr = np.interp(r, self.corr_r, self.corr_v, right=0.0)
+        corr = uniform_read(r, self.corr_v, self.corr_r[1])
         fac = self.bump.chi(np.abs(u)) * self.bump.chi(b) * b * corr
         return fac, r * self.N
 
     def stratified_mc(self, n_samples: int, rng: np.random.Generator) -> float:
-        """Jittered-grid estimate: one uniform draw per cell of an m^4 grid."""
+        """Jittered-grid estimate: one uniform draw per cell of an m^4 grid.
+
+        The stream is consumed one u-slab at a time in slab order (each
+        slab's u, b, w, z jitters in turn) and each slab is summed on its own,
+        so the estimate does not depend on how slabs are grouped into blocks.
+        """
         m = max(4, int(n_samples ** 0.25))
         vol = 8.0 / m**4
-        total = 0.0
-        block = max(1, _EVAL_BLOCK // (4 * m**3))
-        for a in range(0, m, block):
-            na = min(block, m - a)
-            shape = (na, m, m, m)
-            iu = a + np.arange(na)[:, None, None, None]
-            ib = np.arange(m)[None, :, None, None]
-            iw = np.arange(m)[None, None, :, None]
-            iz = np.arange(m)[None, None, None, :]
-            u = -1.0 + 2.0 * (iu + rng.random(shape)) / m
-            b = (ib + rng.random(shape)) / m
-            w = -1.0 + 2.0 * (iw + rng.random(shape)) / m
-            z = -1.0 + 2.0 * (iz + rng.random(shape)) / m
-            total += float(np.sum(self._point_values(u, b, w, z)))
-        return self.prefactor * vol * total
+        slab_sums = []
+        cell = np.indices((m, m, m))  # the (b, w, z) cell indices of a slab
+        for sl in blocks(m, 4 * m**3):
+            iu = np.arange(m)[sl, None, None, None]
+            jit = rng.random((iu.shape[0], 4, m, m, m))
+            u = -1.0 + 2.0 * (iu + jit[:, 0]) / m
+            b = (cell[0] + jit[:, 1]) / m
+            w = -1.0 + 2.0 * (cell[1] + jit[:, 2]) / m
+            z = -1.0 + 2.0 * (cell[2] + jit[:, 3]) / m
+            vals = self._point_values(u, b, w, z)
+            slab_sums.extend(vals.reshape(iu.shape[0], -1).sum(axis=1))
+        return self.prefactor * vol * math.fsum(slab_sums)
 
 
 def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 24,
@@ -296,10 +298,12 @@ def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 24,
                        seed: int = 0, normalized: bool = True) -> float:
     """Evaluate the quadruple interaction integral I at the given scales.
 
-    budget caps the total number of integrand evaluations.  The Gauss path
-    climbs the refinement ladder as far as the budget allows and certifies
-    the last two rungs agree to rtol; the Monte-Carlo path splits the budget
-    into two independent stratified replicates and certifies their spread.
+    budget caps the number of integrand evaluations.  The Gauss path takes
+    the rungs of the refinement ladder whose cumulative cost n^4 fits the
+    budget, evaluates only the last two of them and certifies that they
+    agree to rtol (at the default budget those are n = 40 and 48); the
+    Monte-Carlo path splits the budget into two independent stratified
+    replicates and certifies their spread.
     Failure to certify raises QuadratureBudgetError carrying the partial
     value.  With normalized=True (default) the value is divided by the
     product of the three L^2 norms, matching the estimate's right-hand side.
@@ -310,20 +314,15 @@ def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 24,
     red = _ReducedIntegrand(M1, M2, N, N2)
 
     if method == "gauss":
-        spent = 0
-        values: list[float] = []
-        for n in _LEVELS:
-            cost = n**4
-            if spent + cost > budget:
-                break
-            values.append(red.gauss(n))
-            spent += cost
-        if len(values) < 2:
+        spent = itertools.accumulate(n**4 for n in _LEVELS)
+        rungs = [n for n, c in zip(_LEVELS, spent) if c <= budget]
+        if len(rungs) < 2:
             raise QuadratureBudgetError(
                 "quadrature budget too small for two refinement levels "
                 f"(need at least {_LEVELS[0]**4 + _LEVELS[1]**4} evaluations)",
-                partial=(values[0] / scale if values else math.nan),
+                partial=(red.gauss(rungs[0]) / scale if rungs else math.nan),
                 rel_change=math.inf)
+        values = [red.gauss(n) for n in rungs[-2:]]
         rel = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
         if rel > rtol:
             raise QuadratureBudgetError(

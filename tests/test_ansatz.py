@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import SphericalVoronoi
 
+from boltzlab import grids
 from boltzlab.ansatz import (
     AnsatzParams,
     BetaCache,
@@ -235,6 +236,25 @@ class TestTubeField:
 # the deposited density
 # ---------------------------------------------------------------------------
 
+class TestBlockBudget:
+    def test_evaluators_do_not_depend_on_it(self, p8, monkeypatch):
+        rng = np.random.default_rng(44)
+        x = rng.uniform(-0.5, 0.5, (30, 3)) / p8.M
+        v = p8.N2 * p8.directions[rng.integers(0, p8.J, 30)]
+        sf = sharpness_functions(4, 4, None, 8)
+        eta2 = rng.uniform(-0.05, 0.05, (30, 3))
+        v2 = 8.0 * sf.family.directions[rng.integers(0, sf.J, 30)]
+        runs = []
+        for budget in (1 << 10, 1 << 18):
+            monkeypatch.setattr(grids, "_BLOCK", budget)
+            runs.append((f_b_eval(p8, -0.1, x, v),
+                         rho_b_eval(p8, 0.5 * p8.t_star, x),
+                         sf.psi_hat(eta2, v2)))
+        for small, large in zip(*runs):
+            assert np.all(large != 0.0)
+            np.testing.assert_allclose(small, large, rtol=1e-14)
+
+
 class TestTubeDensity:
     def test_center_normalization(self):
         # every tube passes through x=0, so the t=0 center value is exactly
@@ -284,6 +304,22 @@ class TestTubeDensity:
         assert np.all(rho_b_eval(p8, 0.2, far) == 0.0)
         with pytest.raises(ValueError, match="time window"):
             rho_b_eval(p8, 0.3, np.zeros(3))
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    def test_table_read_matches_interp_reference(self, p8, frac):
+        # the whole tube sum with np.interp's binary-search reads
+        t = frac * p8.t_star
+        rng = np.random.default_rng(43)
+        x = np.vstack([np.zeros((1, 3)), rng.uniform(-1.5, 1.5, (40, 3)) / p8.M])
+        sm = _smear()
+        c2, tab2 = sm.psi2_at(t)
+        c1, tab1 = sm.psi1_at(t / 10.0)
+        dots = x @ p8.directions.T
+        perp = np.sqrt(np.clip(np.sum(x**2, axis=1)[:, None] - dots**2, 0.0, None))
+        terms = (np.interp(p8.M * perp, c2, tab2, right=0.0)
+                 * np.interp(np.abs(dots - t * p8.N2) / p8.N2, c1, tab1, right=0.0))
+        want = p8.amp_b * p8.N2 / (10.0 * p8.M**2) * terms.sum(axis=1)
+        np.testing.assert_allclose(rho_b_eval(p8, t, x), want, rtol=1e-13)
 
     def test_smear_tables_factorize_at_t0(self):
         # at tau=0 the transported correlations collapse onto the profile:

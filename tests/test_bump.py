@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import j0
 
 from boltzlab.bump import (
     BumpProfile,
@@ -166,6 +167,23 @@ class TestBumpProfile:
         assert np.all(np.diff(bump.plane_marginal(s)) <= 1e-15)
         assert np.all(np.diff(bump.line_marginal(s)) <= 1e-15)
 
+    def test_row_blocks_leave_tables_unchanged(self):
+        # 256 quadrature rows per block, four blocks: the blocked build must
+        # equal the whole-matrix products bit for bit
+        b = BumpProfile(n_rho=1024, quad_nodes=1024)
+        rq, wq = gauss_on(0.0, 1.0, 1024)
+        cq = chi(rq)
+        arg = np.outer(b.rho_grid, rq)
+        want = {1: 2.0 * (np.cos(2.0 * np.pi * arg) * cq) @ wq,
+                2: 2.0 * np.pi * (j0(2.0 * np.pi * arg) * (cq * rq)) @ wq,
+                3: 4.0 * np.pi * (np.sinc(2.0 * arg) * (cq * rq**2)) @ wq}
+        for d in (1, 2, 3):
+            assert np.array_equal(b.hat_tables[d], want[d])
+        rho, w = gauss_on(0.0, b.rho_max, 4096)
+        kernel = np.sinc(2.0 * np.outer(b.r_grid, rho))
+        rec = 4.0 * np.pi * (kernel * (b.hat(rho, dim=3) * rho**2)) @ w
+        assert b.roundtrip_rel_error == float(np.max(np.abs(rec - b.chi_table)))
+
     def test_default_is_shared(self):
         assert default_bump() is default_bump()
 
@@ -203,6 +221,12 @@ class TestTimeCutoff:
         for a in (0.37, 1.9, 4.3):
             direct = 2.0 * float(w @ (th * np.cos(2.0 * np.pi * a * t)))
             assert abs(float(tc.hat(a)) - direct) < 1e-6
+
+    def test_row_blocks_leave_table_unchanged(self):
+        tc = default_cutoff()
+        t, w = gauss_on(0.0, tc.plateau + tc.ramp, 2048)
+        kernel = np.cos(2.0 * np.pi * np.outer(tc.a_grid, t))
+        assert np.array_equal(tc.hat_table, 2.0 * (kernel * (tc(t) * w)).sum(axis=1))
 
     def test_hat_even_and_compact(self):
         tc = default_cutoff()

@@ -27,6 +27,7 @@ from boltzlab import (
     post_collision,
     spatial_density,
 )
+from boltzlab import grids
 from boltzlab.grids import lattice_read, lattice_stencil
 
 # the module itself: the package binds the name `collision` to the operator
@@ -489,8 +490,8 @@ class TestDirectGain:
         cfg = CollisionConfig(quadrature=SphereQuadrature.octahedral(),
                               interpolation=interp)
         whole = gain_term_direct(f, g, cfg).data
-        # three rows of the (Nx, Nv^2) pair tensors per block: 3 blocks
-        monkeypatch.setattr(C, "_DIRECT_BLOCK_BYTES", 3 * 16 * 64**2)
+        # three rows of the (Nx, Nv^2) complex pair tensors per block: 3 blocks
+        monkeypatch.setattr(grids, "_BLOCK", 3 * 2 * 64**2)
         blocked = gain_term_direct(f, g, cfg).data
         assert np.array_equal(blocked, whole)
 

@@ -17,8 +17,9 @@ from boltzlab import (
     rescale,
     transform,
 )
-from boltzlab.grids import (axis_sum, eta_dot_v, lattice_read,
-                            lattice_stencil, on_axes)
+from boltzlab import grids
+from boltzlab.grids import (axis_sum, blocks, eta_dot_v, lattice_read,
+                            lattice_stencil, on_axes, uniform_read)
 
 
 def small_grid():
@@ -132,6 +133,56 @@ class TestLatticeStencil:
             got, [(1 - t) * samples[-1], (1 - t) * samples[0], 0.0, 0.0, 0.0])
         far = lattice_stencil(np.array([[1e300, 0.0, 0.0]]), 0.0, 1.0, (2, 2, 2))
         assert lattice_read(np.ones(8), far) == 0.0
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("per_item", [1, 3, 1000, grids._BLOCK,
+                                          grids._BLOCK + 1, 10 * grids._BLOCK])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_cover_the_range_within_the_budget(self, n, per_item):
+        sl = list(blocks(n, per_item))
+        assert [i for s in sl for i in range(n)[s]] == list(range(n))
+        for s in sl:
+            size = s.stop - s.start
+            assert size >= 1
+            # one item per block once a single item exceeds the budget
+            assert size * per_item <= grids._BLOCK or size == 1
+        if per_item <= grids._BLOCK and n:
+            # full blocks: as many items as fit, except the last
+            assert all((s.stop - s.start) * per_item > grids._BLOCK - per_item
+                       for s in sl[:-1])
+
+
+class TestUniformRead:
+    def test_exact_on_linear_tables(self):
+        step = 0.3
+        table = 2.0 - 1.5 * step * np.arange(11)
+        u = np.random.default_rng(4).uniform(0.0, 10 * step, 500)
+        np.testing.assert_allclose(uniform_read(u, table, step), 2.0 - 1.5 * u,
+                                   rtol=0, atol=1e-14)
+
+    def test_nodes_return_their_samples(self):
+        # dyadic spacing: the node coordinates are exact
+        table = np.random.default_rng(5).standard_normal(9)
+        np.testing.assert_array_equal(
+            uniform_read(0.25 * np.arange(9), table, 0.25), table)
+
+    def test_zero_past_the_last_sample(self):
+        table = np.array([1.0, 2.0, 3.0])
+        got = uniform_read(np.array([1.0, 1.0 + 1e-12, 1.25, 7.0, 1e300]),
+                           table, 0.5)
+        np.testing.assert_array_equal(got, [3.0, 0.0, 0.0, 0.0, 0.0])
+        assert uniform_read(2.0, table, 0.5) == 0.0
+
+    def test_matches_np_interp_right_zero(self):
+        rng = np.random.default_rng(6)
+        grid = np.linspace(0.0, 1.35, 241)
+        table = np.cos(3.0 * grid) * np.exp(-grid)
+        u = rng.uniform(0.0, 2.0, (40, 50))
+        got = uniform_read(u, table, grid[1])
+        assert got.shape == u.shape
+        np.testing.assert_allclose(
+            got, np.interp(u, grid, table, right=0.0), rtol=0, atol=1e-15)
 
 
 class TestTransforms:

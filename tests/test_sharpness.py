@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from boltzlab import grids
 from boltzlab.bump import default_bump, gauss_on
 from boltzlab.sharpness import (
     QuadratureBudgetError,
     SharpnessFunctions,
     _ball_correlation,
+    _ReducedIntegrand,
     sharpness_functions,
     sharpness_integral,
 )
@@ -166,9 +168,34 @@ class TestIntegral:
                                budget=1 << 22, seed=3)
         assert abs(g - m) / g < 1e-3
 
+    def test_monte_carlo_independent_of_block_budget(self, monkeypatch):
+        vals = []
+        for budget in (1 << 12, 1 << 22):
+            monkeypatch.setattr(grids, "_BLOCK", budget)
+            vals.append(sharpness_integral(4, 4, None, 8, method="mc",
+                                           budget=1 << 18, seed=3))
+        assert vals[0] == vals[1]
+
+    def test_gauss_evaluates_only_the_compared_rungs(self, monkeypatch):
+        rungs = []
+        gauss = _ReducedIntegrand.gauss
+
+        def spy(self, n):
+            rungs.append(n)
+            return gauss(self, n)
+
+        monkeypatch.setattr(_ReducedIntegrand, "gauss", spy)
+        sharpness_integral(4, 4, None, 8)
+        assert rungs == [40, 48]
+
     def test_budget_too_small(self):
-        with pytest.raises(QuadratureBudgetError, match="too small"):
+        with pytest.raises(QuadratureBudgetError, match="too small") as excinfo:
             sharpness_integral(4, 4, None, 8, budget=20000)
+        assert math.isnan(excinfo.value.partial)
+        # one rung fits: its value is the partial
+        with pytest.raises(QuadratureBudgetError, match="too small") as excinfo:
+            sharpness_integral(4, 4, None, 8, budget=12**4)
+        assert excinfo.value.partial == pytest.approx(14.1713, rel=5e-2)
 
     def test_budget_exhausted_carries_partial(self):
         with pytest.raises(QuadratureBudgetError,
