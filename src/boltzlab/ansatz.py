@@ -13,11 +13,13 @@ The objects built here are closed-form fields on R^3 x R^3:
 
 Everything is evaluated from the radial bump tables in `bump`; the only
 numerics are low-dimensional quadratures and table lookups, so point
-evaluation stays cheap even with 65536 tubes.  The dense sums over all J
-tubes run over blocks of directions from `grids.blocks`, so every
-(points x directions) temporary stays within the package's 2 MiB block
-budget, and the smear tables, uniform from 0, are read by index arithmetic
-with `grids.uniform_read` rather than a binary search.
+evaluation stays cheap even with 65536 tubes.  f_b, its grid sampler and the
+sharpness probe's psi_hat share one candidate search, `TubeFamily.candidates`
+(a dense pass over all J directions in `grids.blocks`, so every temporary
+stays within the package's 2 MiB block budget), and one support factor,
+`TubeFamily.support`, taken only at the live (point, tube) pairs.  rho_b
+needs every tube at every point; its blocked dense sum reads the smear
+tables, uniform from 0, by index arithmetic with `grids.uniform_read`.
 
 Norms of the construction (weighted Sobolev and the Z norm) are computed
 semi-analytically: the tube velocity supports are pairwise disjoint on the
@@ -27,16 +29,16 @@ Fibonacci grid, so cross terms vanish and per-tube closed forms add exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .bump import default_bump, gauss_on
+from .bump import chi, default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
-from .grids import (FieldTag, GridSpec, PhaseField, VSlicedField, axis_sum,
-                    blocks, eta_dot_v, lattice_read, lattice_stencil, on_axes,
+from .grids import (FieldTag, GridSpec, PhaseField, Storage, axis_sum, blocks,
+                    eta_dot_v, lattice_read, lattice_stencil, on_axes,
                     uniform_read)
 
 __all__ = [
@@ -126,6 +128,47 @@ class TubeFamily:
         if not 0.5 * equal_area <= min_angle <= 2.0 * equal_area:
             raise ValueError("direction grid spacing left the equal-area band")
         return cls(int(M), int(N2), float(s), J, dirs, min_angle, equal_area)
+
+    def candidates(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live (row, tube, velocity factor) triples of the (n, 3) velocities.
+
+        Rows off the annulus 0.9 N2 <= |v| <= hypot(1.1 N2, 1/M) meet no tube.
+        One dense pass over all J directions in `grids.blocks` keeps the
+        pairs whose v.e clears the lower edge of both velocity factors;
+        `support` takes chi(M |v_perp|) chi(10 (v.e - N2) / N2) there and the
+        zeros are dropped.  Each row's tubes come in ascending order, whatever
+        the block size.
+        """
+        speed = np.linalg.norm(v, axis=1)
+        rows = np.nonzero((speed >= 0.9 * self.N2)
+                          & (speed <= math.hypot(1.1 * self.N2, 1.0 / self.M)))[0]
+        V = v[rows]
+        # |v_perp| < 1/M needs v.e > sqrt(|v|^2 - 1/M^2), the parallel factor
+        # v.e > 0.9 N2
+        lo = np.sqrt(np.maximum(speed[rows] ** 2 - 1.0 / self.M**2,
+                                (0.9 * self.N2) ** 2))
+        i, j = [], []
+        for sl in blocks(self.J, rows.size):
+            r, c = np.nonzero(V @ self.directions[sl].T > lo[:, None])
+            i.append(r)
+            j.append(c + sl.start)
+        i, j = np.concatenate(i), np.concatenate(j)
+        vfac = self.support(V[i] - self.N2 * self.directions[j], j, self.M,
+                            10.0 / self.N2)
+        live = vfac > 0.0
+        return rows[i[live]], j[live], vfac[live]
+
+    def support(self, y: np.ndarray, tubes, a: float, b: float) -> np.ndarray:
+        """chi(a |y_perp|) chi(b y.e) of the (..., 3) rows y against the
+        directions e of `tubes`, with |y_perp| the norm of the rejection
+        y - (y.e) e, which does not cancel far along a tube.  Velocity:
+        y = v - N2 e, (a, b) = (M, 10/N2); space: y = x - t v, (M, 1/N2); the
+        sharpness tubes: y = eta2, (1/M, N2).
+        """
+        e = self.directions[tubes]
+        par = np.sum(y * e, axis=-1)
+        perp = np.linalg.norm(y - par[..., None] * e, axis=-1)
+        return chi(a * perp) * chi(b * par)
 
 
 @lru_cache(maxsize=16)
@@ -319,34 +362,12 @@ def _as_pairs(x, v) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return X, V, lead
 
 
-def _chi(r: np.ndarray) -> np.ndarray:
-    return default_bump().chi(r)
-
-
 def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
     """The tube-family field at (t, x, v); x and v broadcast as (..., 3)."""
     X, V, lead = _as_pairs(x, v)
-    out = np.zeros(X.shape[0])
-
-    # tubes live on the annulus |v| ~ N2; reject rows that cannot contribute
-    speed = np.linalg.norm(V, axis=1)
-    hi = math.sqrt((1.1 * p.N2) ** 2 + 1.0 / p.M**2)
-    rows = np.nonzero((speed >= 0.9 * p.N2) & (speed <= hi))[0]
-    if rows.size:
-        Xa, Va = X[rows] - t * V[rows], V[rows]
-        sub = np.zeros(rows.size)
-        r2x = np.einsum("ij,ij->i", Xa, Xa)
-        r2v = np.einsum("ij,ij->i", Va, Va)
-        for sl in blocks(p.J, rows.size):
-            Eb = p.directions[sl]
-            dx = Xa @ Eb.T  # (rows, B)
-            dv = Va @ Eb.T
-            perp_x = np.sqrt(np.clip(r2x[:, None] - dx**2, 0.0, None))
-            perp_v = np.sqrt(np.clip(r2v[:, None] - dv**2, 0.0, None))
-            term = (_chi(p.M * perp_x) * _chi(dx / p.N2)
-                    * _chi(p.M * perp_v) * _chi(10.0 * (dv - p.N2) / p.N2))
-            sub += term.sum(axis=1)
-        out[rows] = sub
+    rows, tubes, vfac = p.tube.candidates(V)
+    space = p.tube.support(X[rows] - t * V[rows], tubes, p.M, 1.0 / p.N2)
+    out = np.bincount(rows, vfac * space, minlength=X.shape[0])
     return (p.amp_b * out).reshape(lead)
 
 
@@ -486,7 +507,7 @@ def _beta_on(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
 def _cavity_profile(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
     """exp(-beta(t, x)) chi(M|x|) at the (n, 3) points X; beta is evaluated
     only where the cavity is nonzero."""
-    cav = _chi(p.M * np.linalg.norm(X, axis=1))
+    cav = chi(p.M * np.linalg.norm(X, axis=1))
     out = np.zeros(X.shape[0])
     mask = cav > 0.0
     if np.any(mask):
@@ -588,7 +609,7 @@ def _probe_points(p: AnsatzParams) -> np.ndarray:
 def f_r_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
     """Cavity field amp * exp(-beta(t,x)) chi(M|x|) chi(|v|/N)."""
     X, V, lead = _as_pairs(x, v)
-    vel = _chi(np.linalg.norm(V, axis=1) / p.N)
+    vel = chi(np.linalg.norm(V, axis=1) / p.N)
     return (p.amp_r * _cavity_profile(p, t, X, beta) * vel).reshape(lead)
 
 
@@ -598,19 +619,17 @@ def f_a_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid samplers (stream v-slices; annulus slices touch only candidate tubes)
+# grid samplers (Full-storage samples on a grid of either storage; the tube
+# family touches only its live (v-node, tube) pairs)
 # ---------------------------------------------------------------------------
 
 def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of the cavity field (separable: one x-sheet)."""
     xpart = _cavity_sheet(p, t, grid, beta)
-    vfac = _chi(np.linalg.norm(grid.v_points(), axis=1) / p.N).reshape(grid.nv)
-
-    def sheet(iv):
-        return xpart * vfac[iv]
-
-    return VSlicedField(grid, sheet).materialize()
+    vfac = chi(np.linalg.norm(grid.v_points(), axis=1) / p.N).reshape(grid.nv)
+    return PhaseField(replace(grid, storage=Storage.Full),
+                      np.multiply.outer(xpart, vfac))
 
 
 def _cavity_sheet(p: AnsatzParams, t: float, grid: GridSpec, beta) -> np.ndarray:
@@ -621,38 +640,18 @@ def _cavity_sheet(p: AnsatzParams, t: float, grid: GridSpec, beta) -> np.ndarray
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
     """Pointwise sample of the tube family.
 
-    Each v-node selects its candidate tubes once (the tube velocity supports
-    are disjoint, so there are at most a few); x-sheets multiply the two
-    spatial bump factors over candidates only.  v-nodes off the annulus give
-    exact zero sheets.
+    One candidate search over all v-nodes finds the live (v-node, tube)
+    pairs (the tube velocity supports are disjoint, so a node has at most a
+    few), and each pair adds its x-sheet of the two spatial factors to one
+    (Nx, Nv) array.  v-nodes off the annulus stay exact zeros.
     """
-    X = grid.x_points()
-    nxs = grid.nx
-    zero = np.zeros(nxs, dtype=np.complex128)
-    E = p.directions
-
-    def sheet(iv):
-        vv = np.array([grid.v_axis(a)[iv[a]] for a in range(3)])
-        speed2 = float(vv @ vv)
-        hi2 = (1.1 * p.N2) ** 2 + 1.0 / p.M**2
-        if speed2 < (0.9 * p.N2) ** 2 or speed2 > hi2:
-            return zero
-        dv = E @ vv
-        perp_v2 = np.clip(speed2 - dv**2, 0.0, None)
-        vfac = _chi(p.M * np.sqrt(perp_v2)) * _chi(10.0 * (dv - p.N2) / p.N2)
-        cand = np.nonzero(vfac > 0.0)[0]
-        if cand.size == 0:
-            return zero
-        Xt = X - t * vv
-        r2 = np.einsum("ij,ij->i", Xt, Xt)
-        acc = np.zeros(X.shape[0])
-        for j in cand:
-            dx = Xt @ E[j]
-            perp = np.sqrt(np.clip(r2 - dx**2, 0.0, None))
-            acc += vfac[j] * _chi(p.M * perp) * _chi(dx / p.N2)
-        return (p.amp_b * acc).reshape(nxs).astype(np.complex128)
-
-    return VSlicedField(grid, sheet).materialize()
+    X, V = grid.x_points(), grid.v_points()
+    data = np.zeros((X.shape[0], V.shape[0]), dtype=np.complex128)
+    for iv, j, w in zip(*p.tube.candidates(V)):
+        data[:, iv] += (p.amp_b * w) * p.tube.support(X - t * V[iv], j, p.M,
+                                                      1.0 / p.N2)
+    grid = replace(grid, storage=Storage.Full)
+    return PhaseField(grid, data.reshape(grid.shape))
 
 
 def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,

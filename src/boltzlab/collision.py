@@ -125,6 +125,8 @@ class SphereQuadrature:
         """Seeded uniform random directions: a Monte-Carlo rule whose
         moment defects shrink like n^{-1/2} (useful for refinement-law
         checks; the Fibonacci rule converges faster but irregularly)."""
+        if n < 1:
+            raise ValueError("need at least one quadrature node")
         rng = np.random.default_rng(seed)
         vec = rng.standard_normal((n, 3))
         vec /= np.linalg.norm(vec, axis=1)[:, None]

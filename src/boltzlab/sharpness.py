@@ -117,28 +117,10 @@ class SharpnessFunctions:
 
     def psi_hat(self, eta2, v2) -> np.ndarray:
         e2, w2, batch = _as_pairs(eta2, v2)
-        out = np.zeros(e2.shape[0])
-        speed = np.linalg.norm(w2, axis=1)
-        outer = math.hypot(1.1 * self.N2, 1.0 / self.M2)
-        live = (speed >= 0.9 * self.N2) & (speed <= outer)
-        if np.any(live):
-            el, wl = e2[live], w2[live]
-            total = np.zeros(el.shape[0])
-            e2sq = np.sum(el**2, axis=1)
-            v2sq = np.sum(wl**2, axis=1)
-            for sl in blocks(self.J, el.shape[0]):
-                E = self.family.directions[sl]
-                de = el @ E.T
-                dv = wl @ E.T
-                pe = np.sqrt(np.clip(e2sq[:, None] - de**2, 0.0, None))
-                pv = np.sqrt(np.clip(v2sq[:, None] - dv**2, 0.0, None))
-                term = (self.bump.chi(pe / self.M2)
-                        * self.bump.chi(self.N2 * np.abs(de))
-                        * self.bump.chi(self.M2 * pv)
-                        * self.bump.chi(10.0 * (dv - self.N2) / self.N2))
-                total += term.sum(axis=1)
-            out[live] = total / (self.M2 * self.N2)
-        return out.reshape(batch)
+        rows, tubes, vfac = self.family.candidates(w2)
+        freq = self.family.support(e2[rows], tubes, 1.0 / self.M2, self.N2)
+        out = np.bincount(rows, vfac * freq, minlength=e2.shape[0])
+        return (out / (self.M2 * self.N2)).reshape(batch)
 
     def l2_norms(self) -> tuple[float, float, float]:
         """Exact L^2 norms of the three profiles (scale-independent).

@@ -157,6 +157,31 @@ class TestAnsatzParams:
 # the tube field
 # ---------------------------------------------------------------------------
 
+def _inside_tubes(fam, rng, n):
+    """n velocities inside the supports of random tubes e of the family, with
+    unit-scale offsets r along and perp across each chosen tube."""
+    e = fam.directions[rng.integers(0, fam.J, n)]
+    a = np.where(np.abs(e[:, :1]) < 0.9, [[1.0, 0, 0]], [[0, 1.0, 0]])
+    b1 = np.cross(e, a)
+    b1 /= np.linalg.norm(b1, axis=1)[:, None]
+    b2 = np.cross(e, b1)
+    w = rng.uniform(-0.5, 0.5, (n, 2))
+    u = rng.uniform(-0.5, 0.5, n)
+    v = (fam.N2 * (1 + u[:, None] / 10.0) * e
+         + (w[:, :1] * b1 + w[:, 1:] * b2) / fam.M)
+    r = rng.uniform(-0.5, 0.5, n)[:, None]
+    wx = rng.uniform(-0.5, 0.5, (n, 2))
+    return v, e, r, wx[:, :1] * b1 + wx[:, 1:] * b2
+
+
+def _exact_support(y, E, a, b):
+    """chi(a |y_perp|) chi(b y.e) over every direction e of E, with y_perp
+    the rejection y - (y.e) e; y is one point or one row per direction."""
+    par = np.sum(y * E, axis=1)
+    perp = np.linalg.norm(y - par[:, None] * E, axis=1)
+    return default_bump().chi(a * perp) * default_bump().chi(b * par)
+
+
 class TestTubeField:
     def test_amplitude_on_tube_axis(self, p8):
         # at x=0, v = N2 e_j the j-th tube contributes chi(0)^4 = 1 and the
@@ -189,26 +214,42 @@ class TestTubeField:
 
     def test_transport_identity(self, p8):
         # sample inside tube supports so the identity is exercised nontrivially
-        rng = np.random.default_rng(42)
-        js = rng.integers(0, p8.J, 60)
-        e = p8.directions[js]
-        a = np.where(np.abs(e[:, :1]) < 0.9, [[1.0, 0, 0]], [[0, 1.0, 0]])
-        b1 = np.cross(e, a)
-        b1 /= np.linalg.norm(b1, axis=1)[:, None]
-        b2 = np.cross(e, b1)
-        w = rng.uniform(-0.5, 0.5, (60, 2))
-        u = rng.uniform(-0.5, 0.5, 60)
-        v = (p8.N2 * (1 + u[:, None] / 10.0) * e
-             + (w[:, :1] * b1 + w[:, 1:] * b2) / p8.M)
         t = -0.13
+        v, e, r, perp = _inside_tubes(p8.tube, np.random.default_rng(42), 60)
         # land x on the advected tube axis so the left side is not trivially 0
-        r = rng.uniform(-0.5, 0.5, 60)[:, None] * p8.N2
-        wx = rng.uniform(-0.5, 0.5, (60, 2))
-        x = t * v + r * e + (wx[:, :1] * b1 + wx[:, 1:] * b2) / p8.M
+        x = t * v + (r * p8.N2) * e + perp / p8.M
         lhs = f_b_eval(p8, t, x, v)
         rhs = f_b_eval(p8, 0.0, x - t * v, v)
         assert np.sum(lhs > 0) > 20
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+
+    def test_exact_rejection_far_along_tubes(self, p8):
+        # far along a tube sqrt(|y|^2 - (y.e)^2) loses digits; both
+        # evaluators must match the sum over all J tubes taken with the
+        # rejection y - (y.e) e
+        t = -0.13
+        v, e, r, perp = _inside_tubes(p8.tube, np.random.default_rng(42), 60)
+        x = t * v + (r * p8.N2) * e + perp / p8.M
+        E = p8.directions
+        want = [p8.amp_b * float(np.sum(
+            _exact_support(vk - p8.N2 * E, E, p8.M, 10.0 / p8.N2)
+            * _exact_support(xk - t * vk, E, p8.M, 1.0 / p8.N2)))
+            for xk, vk in zip(x, v)]
+        got = f_b_eval(p8, t, x, v)
+        assert np.sum(got > 0) > 20
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+        sf = sharpness_functions(4, 4, None, 8)
+        v2, e, r, perp = _inside_tubes(sf.family, np.random.default_rng(43), 60)
+        eta2 = (r / sf.N2) * e + perp * sf.M2
+        E = sf.family.directions
+        want = [float(np.sum(
+            _exact_support(vk - sf.N2 * E, E, sf.M2, 10.0 / sf.N2)
+            * _exact_support(ek, E, 1.0 / sf.M2, sf.N2))) / (sf.M2 * sf.N2)
+            for ek, vk in zip(eta2, v2)]
+        got = sf.psi_hat(eta2, v2)
+        assert np.sum(got > 0) > 20
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
     def test_disjoint_supports_pointwise(self, p8):
         # on the j-th axis only tube j is live: removing it leaves zero

@@ -130,6 +130,12 @@ class TestSphereQuadrature:
         assert np.array_equal(a.nodes, b.nodes)
         assert not np.array_equal(a.nodes, c.nodes)
 
+    def test_rules_reject_empty_node_sets(self):
+        for make in (SphereQuadrature.fibonacci,
+                     lambda n: SphereQuadrature.random(n, seed=0)):
+            with pytest.raises(ValueError, match="at least one quadrature node"):
+                make(0)
+
     def test_rejects_non_unit_nodes(self):
         with pytest.raises(ValueError, match="unit"):
             SphereQuadrature(np.array([[1.0, 1.0, 0.0]]), np.array([FOUR_PI]))
