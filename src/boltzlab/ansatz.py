@@ -291,30 +291,29 @@ class _TubeSmear:
     At tau = 0 they collapse exactly to chi(c) * (2D resp. 1D mass).
     """
 
-    C2_MAX, TAU2_MAX = 1.35, 0.3
-    C1_MAX, TAU1_MAX = 1.1, 0.032
+    C2_MAX, TAU2_MAX, N_C2, N_TAU2 = 1.35, 0.3, 241, 97
+    C1_MAX, TAU1_MAX, N_C1, N_TAU1 = 1.1, 0.032, 221, 17
 
-    def __init__(self, n_c2: int = 241, n_tau2: int = 97,
-                 n_c1: int = 221, n_tau1: int = 17):
+    def __init__(self):
         bump = default_bump()
         k, wk = gauss_on(0.0, bump.rho_max, 1024)
 
-        self.c2_grid = np.linspace(0.0, self.C2_MAX, n_c2)
-        self.tau2_grid = np.linspace(0.0, self.TAU2_MAX, n_tau2)
+        self.c2_grid = np.linspace(0.0, self.C2_MAX, self.N_C2)
+        self.tau2_grid = np.linspace(0.0, self.TAU2_MAX, self.N_TAU2)
         from scipy.special import j0
 
         kern2 = j0(2.0 * np.pi * np.outer(self.c2_grid, k))  # (c, k)
         h2 = bump.hat(k, 2)
-        self.psi2_table = np.empty((n_c2, n_tau2))
+        self.psi2_table = np.empty((self.N_C2, self.N_TAU2))
         for it, tau in enumerate(self.tau2_grid):
             prof = h2 * bump.hat(tau * k, 2) * k * wk
             self.psi2_table[:, it] = 2.0 * np.pi * (kern2 @ prof)
 
-        self.c1_grid = np.linspace(0.0, self.C1_MAX, n_c1)
-        self.tau1_grid = np.linspace(0.0, self.TAU1_MAX, n_tau1)
+        self.c1_grid = np.linspace(0.0, self.C1_MAX, self.N_C1)
+        self.tau1_grid = np.linspace(0.0, self.TAU1_MAX, self.N_TAU1)
         kern1 = np.cos(2.0 * np.pi * np.outer(self.c1_grid, k))
         h1 = bump.hat(k, 1)
-        self.psi1_table = np.empty((n_c1, n_tau1))
+        self.psi1_table = np.empty((self.N_C1, self.N_TAU1))
         for it, tau in enumerate(self.tau1_grid):
             prof = h1 * bump.hat(tau * k, 1) * wk
             self.psi1_table[:, it] = 2.0 * (kern1 @ prof)

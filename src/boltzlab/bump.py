@@ -314,8 +314,9 @@ class TimeCutoff:
 
     def __init__(self, plateau: float = 1.0, ramp: float = 1.0,
                  a_max: float = 24.0, n_a: int = 2048):
-        if plateau <= 0.0 or ramp <= 0.0:
-            raise ValueError("plateau and ramp must be positive")
+        for name, val in (("plateau", plateau), ("ramp", ramp), ("a_max", a_max)):
+            if not 0.0 < val < np.inf:
+                raise ValueError(f"TimeCutoff {name} must be positive and finite, got {val}")
         self.plateau = float(plateau)
         self.ramp = float(ramp)
         self.a_max = float(a_max)

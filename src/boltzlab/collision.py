@@ -97,10 +97,11 @@ class SphereQuadrature:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != (nodes.shape[0],):
             raise ValueError("nodes must be (n,3) with matching weights")
-        if np.any(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) > 1e-12):
+        # negated checks, so NaN entries fail them too
+        if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= 1e-12):
             raise ValueError("quadrature nodes must be unit vectors")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
+        if not np.all((weights > 0) & (weights < math.inf)):
+            raise ValueError("quadrature weights must be positive and finite")
         total = float(np.sum(weights))
         if abs(total - FOUR_PI) > 1e-6 * FOUR_PI:
             raise ValueError(f"weights sum to {total}, expected 4*pi")
@@ -198,14 +199,9 @@ def post_collision(u, v, omega) -> tuple[np.ndarray, np.ndarray]:
 
 def spatial_density(g) -> np.ndarray:
     """rho_g(x) = sum_v g(x,v) * v-cell, shape grid.nx.  Streams VSliced."""
-    if isinstance(g, VSlicedField):
-        rho = np.zeros(g.grid.nx, dtype=np.complex128)
-        for _, sl in g.iter_v():
-            rho += sl
-        return rho * g.grid.cell_v
     if g.tag is not FieldTag.Physical_xv:
         raise ValueError("spatial_density expects the physical representation")
-    return np.sum(g.data, axis=(3, 4, 5)) * g.grid.cell_v
+    return sum(np.sum(b, axis=(3, 4, 5)) for _, b in g.v_blocks()) * g.grid.cell_v
 
 
 def loss_term(f, g):
@@ -509,20 +505,11 @@ def moments(f) -> tuple[float, np.ndarray, float]:
     over the full grid.  Streams VSliced fields."""
     grid = f.grid
     cell = grid.cell_x * grid.cell_v
-    if isinstance(f, VSlicedField):
-        mass = 0.0
-        mom = np.zeros(3)
-        energy = 0.0
-        for iv, sl in f.iter_v():
-            v = np.array([grid.v_axis(a)[iv[a]] for a in range(3)])
-            s = float(np.real(np.sum(sl)))
-            mass += s
-            mom += s * v
-            energy += s * float(v @ v)
-        return mass * cell, mom * cell, energy * cell
     if f.tag is not FieldTag.Physical_xv:
         raise ValueError("moments expects the physical representation")
-    per_v = np.real(np.sum(f.data, axis=(0, 1, 2)))  # (nv)
+    per_v = np.empty(grid.nv)
+    for iv, block in f.v_blocks():
+        per_v[iv] = np.real(np.sum(block, axis=(0, 1, 2)))
     mass = float(np.sum(per_v))
     mom = np.array([float(np.sum(per_v * on_axes(grid.v_axis(a), (a,), 3)))
                     for a in range(3)])

@@ -90,8 +90,9 @@ class GridSpec:
         for n in nx + nv:
             if not _is_pow2(n):
                 raise ValueError(f"grid resolutions must be powers of two, got {n}")
-        if not (self.Lx > 0 and self.Lv > 0):
-            raise ValueError("box half-widths must be positive")
+        for name, L in (("Lx", self.Lx), ("Lv", self.Lv)):
+            if not 0 < L < math.inf:
+                raise ValueError(f"box half-width {name} must be positive and finite, got {L}")
         if self.storage is Storage.Full and self.total_points > self.full_cap:
             raise ValueError(
                 f"Full storage needs {self.total_points} points > cap {self.full_cap}; "
@@ -203,6 +204,11 @@ class PhaseField:
             out = transform(out, "v", "forward" if tag.v_spectral else "inverse")
         return out
 
+    def v_blocks(self, tag: FieldTag = FieldTag.Physical_xv
+                 ) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+        """The whole field under `tag` as one (v-index slices, 6-D block) pair."""
+        yield (slice(None),) * 3, self.to(tag).data
+
     def l2(self) -> float:
         """Physically weighted L2 norm in the current representation."""
         w = _cell_weight(self.grid, self.tag)
@@ -228,6 +234,8 @@ class VSlicedField:
     `slice_fn(iv)` receives a v-axis index triple and must return the complex
     x-grid (shape grid.nx) of the field at that v point.  Only physical-space
     streaming is supported; spectral collision work requires Full storage.
+    Consumers read either storage through `v_blocks`, which here yields one
+    nx + (1, 1, 1) block per v point.
     """
 
     def __init__(self, grid: GridSpec, slice_fn: Callable[[tuple[int, int, int]], np.ndarray],
@@ -244,18 +252,24 @@ class VSlicedField:
             raise ValueError("v_slice returned wrong shape")
         return out
 
-    def iter_v(self) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
+    def v_blocks(self, tag: FieldTag = FieldTag.Physical_xv
+                 ) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+        """(v-index slices, nx + (1, 1, 1) block) per v point, v1 fastest
+        (the KLB1 file order); x axes transformed when tag.x_spectral."""
+        if tag.v_spectral:
+            raise ValueError("VSlicedField blocks are physical in v")
         n1, n2, n3 = self.grid.nv
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    yield (i, j, k), self.v_slice((i, j, k))
+        for k, j, i in np.ndindex(n3, n2, n1):
+            sl = self.v_slice((i, j, k))
+            if tag.x_spectral:
+                sl = _ft(sl, (0, 1, 2), self.grid.cell_x)
+            yield (slice(i, i + 1), slice(j, j + 1), slice(k, k + 1)), sl[..., None, None, None]
 
     def materialize(self) -> PhaseField:
         grid = replace(self.grid, storage=Storage.Full)
         data = np.empty(grid.shape, dtype=np.complex128)
-        for (i, j, k), sl in self.iter_v():
-            data[:, :, :, i, j, k] = sl
+        for iv, block in self.v_blocks():
+            data[(slice(None),) * 3 + iv] = block
         return PhaseField(grid, data, self.tag)
 
 
@@ -587,16 +601,10 @@ def _refine_axes(data: np.ndarray, axes: Sequence[int], q: int) -> np.ndarray:
         pad_shape = list(spec.shape)
         pad_shape[ax] = n * q
         padded = np.zeros(pad_shape, dtype=np.complex128)
-        idx_lo = [slice(None)] * out.ndim
-        idx_lo[ax] = slice(0, n // 2)
-        idx_hi = [slice(None)] * out.ndim
-        idx_hi[ax] = slice(-(n // 2), None)
-        src_lo = [slice(None)] * out.ndim
-        src_lo[ax] = slice(0, n // 2)
-        src_hi = [slice(None)] * out.ndim
-        src_hi[ax] = slice(-(n // 2), None)
-        padded[tuple(idx_lo)] = spec[tuple(src_lo)]
-        padded[tuple(idx_hi)] = spec[tuple(src_hi)]
+        for half in (slice(0, n // 2), slice(-(n // 2), None)):
+            idx = [slice(None)] * out.ndim
+            idx[ax] = half
+            padded[tuple(idx)] = spec[tuple(idx)]
         out = np.fft.ifft(padded, axis=ax) * q
     return out
 

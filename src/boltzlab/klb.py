@@ -65,17 +65,8 @@ def dump_field(field: Union[PhaseField, VSlicedField], path: str) -> None:
     grid = field.grid
     with open(path, "wb") as fh:
         fh.write(_pack_header(grid, field.tag))
-        if isinstance(field, PhaseField):
-            fh.write(np.ascontiguousarray(
-                field.data.ravel(order="F")).astype("<c16").tobytes())
-        else:
-            # F-order over life axes = v3 slowest; iterate v in F order
-            m1, m2, m3 = grid.nv
-            for j3 in range(m3):
-                for j2 in range(m2):
-                    for j1 in range(m1):
-                        sl = field.v_slice((j1, j2, j3))
-                        fh.write(sl.ravel(order="F").astype("<c16").tobytes())
+        for _, block in field.v_blocks(field.tag):
+            fh.write(block.ravel(order="F").astype("<c16").tobytes())
 
 
 def field_info(path: str) -> dict:

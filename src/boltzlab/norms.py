@@ -26,13 +26,14 @@ from boltzlab.grids import (
     PhaseField,
     Trajectory,
     VSlicedField,
-    _ft,
+    _tag_from,
     axis_sum,
     eta_dot_v,
     on_axes,
     transform,
 )
 
+# either storage: consumers read both through field.v_blocks(tag)
 Field = Union[PhaseField, VSlicedField]
 
 
@@ -52,33 +53,14 @@ def plateau_window(u: np.ndarray, width: float) -> np.ndarray:
 # Sobolev / homogeneous weighted norms
 # ---------------------------------------------------------------------------
 
-def _xhat_slices(field: Field):
-    """Yield (v-index triple, x-spectral slice) pairs; streams VSliced fields."""
-    if isinstance(field, PhaseField):
-        spec = field.to(FieldTag.Spectral_eta_v)
-        n1, n2, n3 = field.grid.nv
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    yield (i, j, k), spec.data[:, :, :, i, j, k]
-    else:
-        cell = field.grid.cell_x
-        for iv, sl in field.iter_v():
-            yield iv, _ft(sl, (0, 1, 2), cell)
-
-
 def _weighted_l2(field: Field, x_weight2: np.ndarray, v_weight2: np.ndarray) -> float:
     """sqrt( sum |fhat(eta,v)|^2 xw2(eta) vw2(v) d_eta^3 dv^3 )."""
     grid = field.grid
-    if isinstance(field, PhaseField):
-        spec = field.to(FieldTag.Spectral_eta_v)
-        acc = np.einsum(
-            "abcijk,abc,ijk->",
-            np.abs(spec.data) ** 2, x_weight2, v_weight2, optimize=True)
-    else:
-        acc = 0.0
-        for iv, xhat in _xhat_slices(field):
-            acc += float(np.sum(np.abs(xhat) ** 2 * x_weight2)) * v_weight2[iv]
+    acc = 0.0
+    for iv, spec in field.v_blocks(FieldTag.Spectral_eta_v):
+        # the contraction-order search pays only on blocks of many v points
+        acc += np.einsum("abcijk,abc,ijk->", np.abs(spec) ** 2, x_weight2,
+                         v_weight2[iv], optimize=spec.size > x_weight2.size)
     return math.sqrt(float(acc) * grid.cell_eta * grid.cell_v)
 
 
@@ -161,29 +143,14 @@ def mixed_norm(field: Field, order: str) -> float:
     """Discrete  || <v>^r  || f(x, v) ||_{Lx^q}  ||_{Lv^p}  with cell weights."""
     p, r, q = parse_mixed_order(order)
     grid = field.grid
-
-    def inner(xslab: np.ndarray) -> float:
-        m = np.abs(xslab)
-        if q == np.inf:
-            return float(m.max())
-        return float(np.sum(m**q) * grid.cell_x) ** (1.0 / q)
-
     vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** (r / 2.0)
-
-    if isinstance(field, PhaseField):
-        if field.tag is not FieldTag.Physical_xv:
-            field = field.to(FieldTag.Physical_xv)
-        slick = field.data
-        inner_vals = np.empty(grid.nv)
-        n1, n2, n3 = grid.nv
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    inner_vals[i, j, k] = inner(slick[:, :, :, i, j, k])
-    else:
-        inner_vals = np.empty(grid.nv)
-        for iv, sl in field.iter_v():
-            inner_vals[iv] = inner(sl)
+    inner_vals = np.empty(grid.nv)
+    for iv, block in field.v_blocks():
+        m = np.abs(block)
+        if q == np.inf:
+            inner_vals[iv] = m.max(axis=(0, 1, 2))
+        else:
+            inner_vals[iv] = (np.sum(m**q, axis=(0, 1, 2)) * grid.cell_x) ** (1.0 / q)
 
     weighted = vw2 * inner_vals
     if p == np.inf:
@@ -254,25 +221,12 @@ def lp_project(field: PhaseField, axis: str, dyad: int) -> PhaseField:
     if axis not in ("x", "xi"):
         raise ValueError("axis must be 'x' or 'xi'")
     grid = field.grid
-    if axis == "x":
-        mult = _lp_multiplier(axis_sum(lambda a: grid.eta_axis(a) ** 2), dyad, "x")
-        spec = field.to(_tag_with_x_spectral(field.tag))
-        data = spec.data * mult[:, :, :, None, None, None]
-        out = PhaseField(grid, data, spec.tag)
-    else:
-        mult = _lp_multiplier(axis_sum(lambda a: grid.xi_axis(a) ** 2), dyad, "xi")
-        spec = field.to(_tag_with_v_spectral(field.tag))
-        data = spec.data * mult[None, None, None, :, :, :]
-        out = PhaseField(grid, data, spec.tag)
-    return out.to(field.tag)
-
-
-def _tag_with_x_spectral(tag: FieldTag) -> FieldTag:
-    return FieldTag.Spectral_eta_xi if tag.v_spectral else FieldTag.Spectral_eta_v
-
-
-def _tag_with_v_spectral(tag: FieldTag) -> FieldTag:
-    return FieldTag.Spectral_eta_xi if tag.x_spectral else FieldTag.Spectral_x_xi
+    on_x = axis == "x"
+    axis_of = grid.eta_axis if on_x else grid.xi_axis
+    mult = _lp_multiplier(axis_sum(lambda a: axis_of(a) ** 2), dyad, axis)
+    spec = field.to(_tag_from(on_x or field.tag.x_spectral, not on_x or field.tag.v_spectral))
+    data = spec.data * on_axes(mult, (0, 1, 2) if on_x else (3, 4, 5), 6)
+    return PhaseField(grid, data, spec.tag).to(field.tag)
 
 
 # ---------------------------------------------------------------------------

@@ -238,3 +238,9 @@ class TestTimeCutoff:
             TimeCutoff(plateau=0.0)
         with pytest.raises(ValueError, match="positive"):
             TimeCutoff(ramp=-1.0)
+
+    @pytest.mark.parametrize("name", ["plateau", "ramp", "a_max"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_geometry(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            TimeCutoff(**{name: bad})

@@ -145,6 +145,17 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="positive"):
             SphereQuadrature(nodes, np.array([FOUR_PI + 1.0, -1.0]))
 
+    def test_rejects_nan_nodes_and_weights(self):
+        q = SphereQuadrature.octahedral()
+        nodes = q.nodes.copy()
+        nodes[2, 0] = np.nan
+        with pytest.raises(ValueError, match="nodes must be unit"):
+            SphereQuadrature(nodes, q.weights)
+        weights = q.weights.copy()
+        weights[1] = np.nan
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            SphereQuadrature(q.nodes, weights)
+
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError, match="4\\*pi"):
             SphereQuadrature(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))

@@ -50,6 +50,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="powers of two"):
             GridSpec((6, 8, 8), (8, 8, 8), 1.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["Lx", "Lv"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0])
+    def test_rejects_non_finite_box(self, name, bad):
+        kw = {"Lx": 1.0, "Lv": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"half-width {name} must be positive and finite"):
+            GridSpec((8, 8, 8), (8, 8, 8), **kw)
+
     def test_full_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             GridSpec((64, 64, 64), (64, 64, 64), 1.0, 1.0)
@@ -466,3 +473,53 @@ class TestVSliced:
         with pytest.raises(ValueError, match="physical"):
             VSlicedField(g, lambda iv: np.zeros((8, 8, 8)),
                          tag=FieldTag.Spectral_eta_v)
+
+
+class TestVBlocks:
+    def setup_method(self):
+        self.g = GridSpec((4, 4, 4), (2, 4, 2), Lx=4.0, Lv=2.0,
+                          storage=Storage.VSliced)
+        rng = np.random.default_rng(11)
+        shape = self.g.nx + self.g.nv
+        self.ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self.calls = []
+
+        def slice_fn(iv):
+            self.calls.append(iv)
+            return self.ref[:, :, :, iv[0], iv[1], iv[2]]
+
+        self.fld = VSlicedField(self.g, slice_fn)
+
+    def test_vsliced_blocks_cover_v_once_in_f_order(self):
+        seen = []
+        for iv, block in self.fld.v_blocks():
+            assert block.shape == self.g.nx + (1, 1, 1)
+            assert all(s.stop - s.start == 1 for s in iv)
+            seen.append(tuple(s.start for s in iv))
+            assert np.array_equal(block, self.ref[(slice(None),) * 3 + iv])
+        n1, n2, n3 = self.g.nv
+        f_order = [(i, j, k) for k in range(n3) for j in range(n2) for i in range(n1)]
+        assert seen == f_order
+        assert self.calls == f_order
+
+    def test_x_spectral_blocks_match_transform(self):
+        spec = transform(self.fld.materialize(), "x", "forward")
+        blocks_seen = 0
+        for iv, block in self.fld.v_blocks(FieldTag.Spectral_eta_v):
+            want = spec.data[(slice(None),) * 3 + iv]
+            assert np.max(np.abs(block - want)) <= 1e-14 * np.max(np.abs(want))
+            blocks_seen += 1
+        assert blocks_seen == int(np.prod(self.g.nv))
+
+    def test_phase_field_yields_one_block(self):
+        f = random_field(small_grid(), seed=4)
+        out = list(f.v_blocks(FieldTag.Spectral_eta_v))
+        assert len(out) == 1
+        iv, block = out[0]
+        assert iv == (slice(None),) * 3
+        assert np.array_equal(block, f.to(FieldTag.Spectral_eta_v).data)
+
+    @pytest.mark.parametrize("tag", [FieldTag.Spectral_x_xi, FieldTag.Spectral_eta_xi])
+    def test_vsliced_rejects_v_spectral_tag(self, tag):
+        with pytest.raises(ValueError, match="physical in v"):
+            next(self.fld.v_blocks(tag))
