@@ -83,7 +83,7 @@ def sphere_grid(J: int) -> np.ndarray:
 
 
 def _is_dyadic(n: float) -> bool:
-    m = int(n)
+    m = int(n) if math.isfinite(n) else 0
     return m == n and m >= 1 and (m & (m - 1)) == 0
 
 
@@ -321,7 +321,7 @@ class _TubeSmear:
     def _blend(self, table: np.ndarray, tau_grid: np.ndarray, tau: float) -> np.ndarray:
         """Linear blend of the tau columns at a fixed scalar tau -> 1D c-table."""
         tau = abs(float(tau))
-        if tau > tau_grid[-1] + 1e-12:
+        if not tau <= tau_grid[-1] + 1e-12:
             raise ValueError("smear table tau out of range")
         stencil = lattice_stencil(np.array([[tau]]), 0.0, tau_grid[1], tau_grid.shape)
         return lattice_read(table, stencil)[:, 0]
@@ -363,6 +363,8 @@ def _as_pairs(x, v) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
 
 def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
     """The tube-family field at (t, x, v); x and v broadcast as (..., 3)."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     X, V, lead = _as_pairs(x, v)
     rows, tubes, vfac = p.tube.candidates(V)
     space = p.tube.support(X[rows] - t * V[rows], tubes, p.M, 1.0 / p.N2)
@@ -380,8 +382,8 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     block budget of `grids.blocks`, and both smear tables are read with
     `grids.uniform_read`, which equals np.interp(..., right=0) on them.
     """
-    if abs(t) > 0.25 + 1e-12:
-        raise ValueError("standing time window requires |t| <= 1/4")
+    if not abs(t) <= 0.25 + 1e-12:
+        raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
     X, lead = _as_points(x)
     out = np.zeros(X.shape[0])
 
@@ -422,6 +424,8 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
     is far inside the first angular zero, so the average is close to the
     direct tube sum that uncached `beta_eval` integrates.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     sm = _smear()
     c2g, t2 = sm.psi2_at(t)
     c1g, t1 = sm.psi1_at(t / 10.0)

@@ -8,9 +8,10 @@ asserts, and exposes them through two small table-backed objects:
 
   * BumpProfile -- chi(r) = exp(1 - 1/(1 - r^2)) on r < 1, its 1D/2D/3D
     radial Fourier transforms on a logarithmic frequency grid, plane/line
-    marginals, and scalar moments.  The marginals are the one table of each
-    kind: the sharpness integral's chord profile is line_marginal and its
-    squared slice profile is plane_marginal(squared=True).
+    marginals, and scalar moments.  The sharpness integral reads its
+    profiles in frequency: the chord profile line_marginal through its 1-D
+    transform, which is hat(., 2), and the squared slice profile
+    plane_marginal(squared=True) through a cosine transform of its table.
   * TimeCutoff  -- the even plateau window (1 on |t| <= plateau, smooth ramp
     to 0 at plateau + ramp) and its cosine transform.
 
@@ -251,7 +252,7 @@ class BumpProfile:
 
     def line_marginal(self, s, squared: bool = False) -> np.ndarray:
         """Integral of chi(|(s, u)|) (or chi^2) over u in R^1: the chord
-        profile of the sharpness integral."""
+        profile, whose 1-D transform is hat(., 2)."""
         s = np.abs(np.asarray(s, dtype=float))
         table = self._line_tables[bool(squared)]
         return uniform_read(s, table, self._line_grid[1])

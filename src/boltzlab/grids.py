@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -429,10 +430,13 @@ def lattice_read(flat: np.ndarray,
 # transforms
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _edge_phase(n: int) -> np.ndarray:
     # grid starts at -L: continuum FT sample = (-1)^k * DFT coefficient
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-    return np.where(k % 2 == 0, 1.0, -1.0)
+    phase = np.where(k % 2 == 0, 1.0, -1.0)
+    phase.flags.writeable = False
+    return phase
 
 
 def _apply_axes_phase(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:

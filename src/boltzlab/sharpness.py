@@ -14,14 +14,15 @@ the three L^2 norms, with B the one-sided bilinear gain factor.
 Every term of psi_hat's direction sum contributes the same amount: the
 remaining factors are radial in eta and eta2, so a rotation taking e_j to
 e_k maps the j-th integrand onto the k-th exactly.  The integral therefore
-reduces to J times a single tube-frame integral over four bounded
-coordinates (eta2 parallel/perpendicular split and v2 parallel/in-plane
-components), with the ball-ball correlation and the window-smeared slice
-profile tabulated once.  The chord profile is the bump's line marginal and
-the slice profile its squared plane marginal, both read from the
-BumpProfile tables.  The same reduction backs both the product Gauss rule
-and the stratified Monte-Carlo fallback (tube strata being identical,
-stratification happens in the reduced coordinates).
+reduces to J times a single tube-frame integral over the eta2
+parallel/perpendicular split, the v2 parallel/in-plane components and the
+v-ball slice.  Writing theta_hat as the transform of theta collapses the
+v2 and slice averages into one integral over the time frequency s, of the
+bump's 1-D and 2-D transforms (the 2-D one is the chord profile's) and a
+cosine transform of the squared slice profile, leaving a 3-D integral over
+(eta2 split, s).  The product Gauss rule and the stratified Monte-Carlo
+fallback (jittered in the eta2 split, tube strata being identical) share
+this reduction.
 """
 
 from __future__ import annotations
@@ -163,168 +164,146 @@ def _ball_correlation(M1: float, Mx: float, n_r: int = 385):
 
 
 @lru_cache(maxsize=8)
-def _window_table(q_max: float, c_max: float, n_q: int = 1153, n_c: int = 65):
-    """V(q, c) = int_{-1}^{1} S(tau) theta_hat(q - c tau) dtau, with S the
-    squared plane marginal of the bump (its plane slices) and theta the
-    default time cutoff."""
-    cutoff = default_cutoff()
-    tau, wt = gauss_on(-1.0, 1.0, 96)
-    s_vals = default_bump().plane_marginal(tau, squared=True)
-    q = np.linspace(-q_max, q_max, n_q)
-    c = np.linspace(0.0, max(c_max, 1e-9), n_c)
-    table = np.empty((n_q, n_c))
-    for sl in blocks(n_q, n_c * tau.size):
-        args = q[sl, None, None] - c[None, :, None] * tau[None, None, :]
-        table[sl] = cutoff.hat(args) @ (s_vals * wt)
-    return q, c, table
-
-
-def _bilinear(table: np.ndarray, q0: float, dq: float, dc: float, Q, C):
-    iq = np.clip(((Q - q0) / dq).astype(np.int64), 0, table.shape[0] - 2)
-    fq = np.clip((Q - q0) / dq - iq, 0.0, 1.0)
-    ic = np.clip((C / dc).astype(np.int64), 0, table.shape[1] - 2)
-    fc = np.clip(C / dc - ic, 0.0, 1.0)
-    return ((1 - fq) * (1 - fc) * table[iq, ic]
-            + fq * (1 - fc) * table[iq + 1, ic]
-            + (1 - fq) * fc * table[iq, ic + 1]
-            + fq * fc * table[iq + 1, ic + 1])
+def _slice_transform(k_max: float, n_k: int = 2049):
+    """S_hat(k) = int_{-1}^{1} S(tau) cos(2 pi k tau) dtau on k in [0, k_max],
+    with S the squared plane marginal of the bump (its plane slices)."""
+    tau, wt = gauss_on(0.0, 1.0, 96)
+    s_vals = 2.0 * default_bump().plane_marginal(tau, squared=True) * wt
+    k = np.linspace(0.0, max(k_max, 1e-9), n_k)
+    return k, np.cos(2.0 * np.pi * np.outer(k, tau)) @ s_vals
 
 
 class _ReducedIntegrand:
-    """The single-tube integrand over (u, b, w, z) in [-1,1]x[0,1]x[-1,1]^2.
+    """The single-tube integrand over (u, b) in [-1, 1] x [0, 1].
 
     u  = N2 * (eta2 component along the tube direction)
     b  = (perpendicular eta2 radius) / M2
-    w  = 10 * (v2 parallel component - N2) / N2
-    z  = M2 * (v2 perpendicular component along the eta2 cross-plane axis)
 
-    Value: chi(u) chi(b) b chi(w) L(z) C(|eta2|) V(q, |eta2| N) with
-    q = u (1 + w/10) + b z and L the line marginal (chord) of the bump.  The full integral is
+    Value: chi(u) chi(b) b C(|eta2|) H(u, b), with C the ball correlation and
+    H the average of theta_hat(u (1 + w/10) + b z - c tau), c = N |eta2|,
+    against chi(w), the chord profile L(z) and the slice profile S(tau) over
+    w = 10 (v2 parallel - N2) / N2, z = M2 (v2 perpendicular along the eta2
+    cross-plane axis) and tau.  As theta_hat is the transform of theta,
+
+        H = 2 int_0^T theta(s) cos(2 pi s u) h1(s u/10) h2(s b) S_hat(s c) ds
+
+    with T = plateau + ramp, h1, h2 the bump's 1-D and 2-D transforms (h2 is
+    L's 1-D transform) and S_hat the cosine transform of S.  The full
+    integral is
         I = (pi/5) (M2 N2) (M1 Mx)^(-3/2) * G,  G = int of the above,
     after the exact J-fold tube reduction and the closed-form eliminations
     of the v ball (slice profile), the second v2 perpendicular coordinate
     (chord profile), and the eta/eta1 pair (ball correlation).
     """
 
+    #: s nodes of each Monte-Carlo sample, charged as that many evaluations
+    MC_S_NODES = 48
+
     def __init__(self, M1, M2, N, N2):
-        self.M1, self.M2, self.N, self.N2 = M1, M2, N, N2
+        self.M2, self.N, self.N2 = M2, N, N2
         self.bump = default_bump()
+        self.cutoff = default_cutoff()
+        self.s_max = self.cutoff.plateau + self.cutoff.ramp
         mx = max(M1, M2)
         self.prefactor = math.pi / 5.0 * (M2 * N2) * (M1 * mx) ** -1.5
         self.corr_r, self.corr_v = _ball_correlation(M1, mx)
         c_max = N * min(math.hypot(1.0 / N2, M2), M1 + mx) * 1.0001
-        self.q_grid, self.c_grid, self.table = _window_table(2.3, c_max)
-        self.q0 = self.q_grid[0]
-        self.dq = self.q_grid[1] - self.q_grid[0]
-        self.dc = self.c_grid[1] - self.c_grid[0]
+        self.k_grid, self.slice_hat = _slice_transform(self.s_max * c_max)
 
-    def gauss(self, n: int) -> float:
-        u, wu = gauss_on(-1.0, 1.0, n)
-        b, wb = gauss_on(0.0, 1.0, n)
-        w, ww = gauss_on(-1.0, 1.0, n)
-        z, wz = gauss_on(-1.0, 1.0, n)
-        fac_ub, c_ub = self._eta2_factor_points(u[:, None], b[None, :])
-        fac_ub = fac_ub * wu[:, None] * wb[None, :]
-        fw = self.bump.chi(np.abs(w)) * ww
-        fz = self.bump.line_marginal(z) * wz
-        total = 0.0
-        for sl in blocks(n, n**3):
-            q = (u[sl, None, None, None] * (1.0 + w[None, None, :, None] / 10.0)
-                 + (b[:, None] * z[None, :])[None, :, None, :])
-            vq = _bilinear(self.table, self.q0, self.dq, self.dc, q,
-                           c_ub[sl, :, None, None])
-            total += float(np.einsum("ub,w,z,ubwz->", fac_ub[sl], fw, fz, vq))
-        return self.prefactor * total
-
-    def _point_values(self, u, b, w, z):
-        fac_ub, c = self._eta2_factor_points(u, b)
-        fw = self.bump.chi(np.abs(w))
-        fz = self.bump.line_marginal(z)
-        q = u * (1.0 + w / 10.0) + b * z
-        return fac_ub * fw * fz * _bilinear(self.table, self.q0, self.dq,
-                                            self.dc, q, c)
-
-    def _eta2_factor_points(self, u, b):
-        """chi(u) chi(b) b C(r) and the table ordinate c = r N, with u and b
-        broadcast against each other."""
+    def _values(self, u, b, n_s: int):
+        """chi(u) chi(b) b C(r) H(u, b) with u and b broadcast against each
+        other and H by the n_s-node s rule."""
         r = np.sqrt((u / self.N2) ** 2 + (self.M2 * b) ** 2)
         corr = uniform_read(r, self.corr_v, self.corr_r[1])
         fac = self.bump.chi(np.abs(u)) * self.bump.chi(b) * b * corr
-        return fac, r * self.N
+        return fac * self.window_average(u, b, r * self.N, n_s)
 
-    def stratified_mc(self, n_samples: int, rng: np.random.Generator) -> float:
-        """Jittered-grid estimate: one uniform draw per cell of an m^4 grid.
+    def window_average(self, u, b, c, n_s: int):
+        """H(u, b) at the ordinate c (all three broadcast) by an n_s-node
+        Gauss rule in s, each point's s sum taken on its own."""
+        s, ws = gauss_on(0.0, self.s_max, n_s)
+        us, bs, cs = (np.asarray(a, dtype=float)[..., None] * s
+                      for a in (u, b, c))
+        kernel = (2.0 * self.cutoff(s) * ws * np.cos(2.0 * np.pi * us)
+                  * self.bump.hat(us / 10.0, 1) * self.bump.hat(bs, 2)
+                  * uniform_read(cs, self.slice_hat, self.k_grid[1]))
+        return kernel.sum(axis=-1)
+
+    def gauss(self, n: int) -> float:
+        """Rung n: n Gauss nodes in each of u, b and s (n^3 evaluations)."""
+        u, wu = gauss_on(-1.0, 1.0, n)
+        b, wb = gauss_on(0.0, 1.0, n)
+        total = 0.0
+        for sl in blocks(n, n * n):
+            vals = self._values(u[sl, None], b[None, :], n)
+            total += float(wu[sl] @ vals @ wb)
+        return self.prefactor * total
+
+    def stratified_mc(self, n_evals: int, rng: np.random.Generator) -> float:
+        """Jittered-grid estimate: one uniform (u, b) draw per cell of an m^2
+        grid, m^2 MC_S_NODES <= n_evals.
 
         The stream is consumed one u-slab at a time in slab order (each
-        slab's u, b, w, z jitters in turn) and each slab is summed on its own,
-        so the estimate does not depend on how slabs are grouped into blocks.
+        slab's u, b jitters in turn) and each slab is summed on its own, so
+        the estimate does not depend on how slabs are grouped into blocks.
         """
-        m = max(4, int(n_samples ** 0.25))
-        vol = 8.0 / m**4
+        m = max(4, math.isqrt(n_evals // self.MC_S_NODES))
+        vol = 2.0 / m**2
         slab_sums = []
-        cell = np.indices((m, m, m))  # the (b, w, z) cell indices of a slab
-        for sl in blocks(m, 4 * m**3):
-            iu = np.arange(m)[sl, None, None, None]
-            jit = rng.random((iu.shape[0], 4, m, m, m))
+        for sl in blocks(m, m * self.MC_S_NODES):
+            iu = np.arange(m)[sl, None]
+            jit = rng.random((iu.shape[0], 2, m))
             u = -1.0 + 2.0 * (iu + jit[:, 0]) / m
-            b = (cell[0] + jit[:, 1]) / m
-            w = -1.0 + 2.0 * (cell[1] + jit[:, 2]) / m
-            z = -1.0 + 2.0 * (cell[2] + jit[:, 3]) / m
-            vals = self._point_values(u, b, w, z)
-            slab_sums.extend(vals.reshape(iu.shape[0], -1).sum(axis=1))
+            b = (np.arange(m) + jit[:, 1]) / m
+            slab_sums.extend(self._values(u, b, self.MC_S_NODES).sum(axis=1))
         return self.prefactor * vol * math.fsum(slab_sums)
 
 
-def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 24,
+def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 18,
                        method: str = "gauss", rtol: float = 0.05,
                        seed: int = 0, normalized: bool = True) -> float:
     """Evaluate the quadruple interaction integral I at the given scales.
 
-    budget caps the number of integrand evaluations.  The Gauss path takes
-    the rungs of the refinement ladder whose cumulative cost n^4 fits the
-    budget, evaluates only the last two of them and certifies that they
-    agree to rtol (at the default budget those are n = 40 and 48); the
-    Monte-Carlo path splits the budget into two independent stratified
-    replicates and certifies their spread.
+    budget caps the number of (u, b, s) evaluations of the reduced
+    integrand.  The Gauss path takes the rungs n of the refinement ladder
+    (n nodes on each axis) whose cumulative cost n^3 fits the budget,
+    evaluates only the last two of them and certifies that they agree to
+    rtol (the default budget fits the rungs up to n = 48 and compares 40
+    with 48); the Monte-Carlo path splits the budget into two stratified
+    replicates over (u, b), 48 s nodes a sample, and certifies their spread.
     Failure to certify raises QuadratureBudgetError carrying the partial
     value.  With normalized=True (default) the value is divided by the
     product of the three L^2 norms, matching the estimate's right-hand side.
     """
     M1, M2, N, N2 = _validate(M1, M2, N, N2)
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
     funcs = SharpnessFunctions.make(M1, M2, N, N2)
     scale = math.prod(funcs.l2_norms()) if normalized else 1.0
     red = _ReducedIntegrand(M1, M2, N, N2)
 
     if method == "gauss":
-        spent = itertools.accumulate(n**4 for n in _LEVELS)
+        spent = itertools.accumulate(n**3 for n in _LEVELS)
         rungs = [n for n, c in zip(_LEVELS, spent) if c <= budget]
         if len(rungs) < 2:
             raise QuadratureBudgetError(
                 "quadrature budget too small for two refinement levels "
-                f"(need at least {_LEVELS[0]**4 + _LEVELS[1]**4} evaluations)",
+                f"(need at least {_LEVELS[0]**3 + _LEVELS[1]**3} evaluations)",
                 partial=(red.gauss(rungs[0]) / scale if rungs else math.nan),
                 rel_change=math.inf)
-        values = [red.gauss(n) for n in rungs[-2:]]
-        rel = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
-        if rel > rtol:
-            raise QuadratureBudgetError(
-                f"quadrature budget exhausted at relative change {rel:.3g} "
-                f"(> {rtol:.3g}); partial value I = {values[-1] / scale:.6g}",
-                partial=values[-1] / scale, rel_change=rel)
-        return values[-1] / scale
-
-    if method == "mc":
+        a, b = (red.gauss(n) for n in rungs[-2:])
+        value, what = b, "quadrature budget exhausted at relative change"
+    elif method == "mc":
         rng = np.random.default_rng(seed)
         half = max(budget // 2, 256)
-        a = red.stratified_mc(half, rng)
-        b = red.stratified_mc(half, rng)
-        mid = 0.5 * (a + b)
-        rel = abs(a - b) / max(abs(mid), 1e-300)
-        if rel > rtol:
-            raise QuadratureBudgetError(
-                f"stratified sampling budget exhausted at replicate spread "
-                f"{rel:.3g} (> {rtol:.3g}); partial value I = {mid / scale:.6g}",
-                partial=mid / scale, rel_change=rel)
-        return mid / scale
-
-    raise ValueError("method must be 'gauss' or 'mc'")
+        a, b = (red.stratified_mc(half, rng) for _ in range(2))
+        value = 0.5 * (a + b)
+        what = "stratified sampling budget exhausted at replicate spread"
+    else:
+        raise ValueError("method must be 'gauss' or 'mc'")
+    rel = abs(a - b) / max(abs(value), 1e-300)
+    if rel > rtol:
+        raise QuadratureBudgetError(
+            f"{what} {rel:.3g} (> {rtol:.3g}); partial value I = "
+            f"{value / scale:.6g}", partial=value / scale, rel_change=rel)
+    return value / scale

@@ -1,3 +1,4 @@
+import boltzlab  # noqa: F401  (first, so LAB_THREADS caps the pools numpy starts)
 import numpy as np
 import pytest
 

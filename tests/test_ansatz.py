@@ -761,3 +761,15 @@ _NAN_POINT = [np.nan, 0.0, 0.0]
 def test_non_finite_points_rejected(p4, evaluate):
     with pytest.raises(ValueError, match="finite"):
         evaluate(p4)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda p, t: rho_b_eval(p, t, np.zeros(3)), id="rho_b_eval"),
+    pytest.param(lambda p, t: f_b_eval(p, t, np.zeros(3), [p.N2, 0.0, 0.0]),
+                 id="f_b_eval"),
+    pytest.param(lambda p, t: rho_b_radial(p, t, [0.0, 0.1]), id="rho_b_radial"),
+])
+def test_non_finite_time_rejected(p4, evaluate, t):
+    with pytest.raises(ValueError, match="time t"):
+        evaluate(p4, t)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boltzlab import grids
-from boltzlab.bump import default_bump, gauss_on
+from boltzlab.bump import chi, default_bump, default_cutoff, gauss_on
 from boltzlab.sharpness import (
     QuadratureBudgetError,
     SharpnessFunctions,
@@ -106,6 +106,17 @@ class TestFunctions:
         with pytest.raises(ValueError, match="velocity scale"):
             sharpness_functions(4, 4, 0.5, 8)
 
+    @pytest.mark.parametrize("scales, name", [
+        ((math.inf, 4, None, 8), "M1"),
+        ((math.nan, 4, None, 8), "M1"),
+        ((4, math.inf, None, 8), "M2"),
+        ((4, 4, None, math.inf), "N2"),
+        ((4, 4, math.nan, 8), "velocity scale"),
+    ])
+    def test_rejects_non_finite_scales(self, scales, name):
+        with pytest.raises(ValueError, match=name):
+            sharpness_integral(*scales)
+
 
 class TestBallCorrelation:
     def test_matches_radial_quadrature(self):
@@ -190,11 +201,11 @@ class TestIntegral:
 
     def test_budget_too_small(self):
         with pytest.raises(QuadratureBudgetError, match="too small") as excinfo:
-            sharpness_integral(4, 4, None, 8, budget=20000)
+            sharpness_integral(4, 4, None, 8, budget=1000)
         assert math.isnan(excinfo.value.partial)
         # one rung fits: its value is the partial
         with pytest.raises(QuadratureBudgetError, match="too small") as excinfo:
-            sharpness_integral(4, 4, None, 8, budget=12**4)
+            sharpness_integral(4, 4, None, 8, budget=12**3)
         assert excinfo.value.partial == pytest.approx(14.1713, rel=5e-2)
 
     def test_budget_exhausted_carries_partial(self):
@@ -205,6 +216,108 @@ class TestIntegral:
         assert err.partial == pytest.approx(14.1713, rel=1e-2)
         assert err.rel_change > 1e-9
 
+    @pytest.mark.parametrize("method", ["gauss", "mc"])
+    @pytest.mark.parametrize("rtol", [math.nan, -0.1, math.inf])
+    def test_rejects_bad_rtol(self, method, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            sharpness_integral(4, 4, None, 8, method=method, budget=4096,
+                               rtol=rtol)
+
     def test_method_validation(self):
         with pytest.raises(ValueError, match="method"):
             sharpness_integral(4, 4, None, 8, method="trapezoid")
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the frequency-integral reduction
+# ---------------------------------------------------------------------------
+
+def _chord(z):
+    """Line marginal of chi by direct quadrature at each z."""
+    out = np.zeros_like(z)
+    for i, zi in enumerate(z):
+        y, wy = gauss_on(0.0, math.sqrt(1.0 - zi * zi), 128)
+        out[i] = 2.0 * wy @ chi(np.sqrt(zi * zi + y * y))
+    return out
+
+
+def _slice(tau):
+    """Squared plane marginal of chi by direct quadrature at each tau."""
+    out = np.zeros_like(tau)
+    for i, ti in enumerate(tau):
+        w, ww = gauss_on(abs(ti), 1.0, 128)
+        out[i] = 2.0 * np.pi * ww @ (chi(w) ** 2 * w)
+    return out
+
+
+def _window_table(q_max, c_max, n_q, n_c):
+    """V(q, c) = int_{-1}^{1} S(tau) theta_hat(q - c tau) dtau on a uniform
+    (q, c) lattice, S the squared plane marginal."""
+    tau, wt = gauss_on(-1.0, 1.0, 96)
+    s_vals = default_bump().plane_marginal(tau, squared=True) * wt
+    q = np.linspace(-q_max, q_max, n_q)
+    c = np.linspace(0.0, c_max, n_c)
+    table = np.empty((n_q, n_c))
+    for sl in grids.blocks(n_q, n_c * tau.size):
+        args = q[sl, None, None] - c[None, :, None] * tau
+        table[sl] = default_cutoff().hat(args) @ s_vals
+    return q, c, table
+
+
+def _four_d_rule(M1, M2, N, N2, n=48, n_q=4609, n_c=257):
+    """The (u, b, w, z) product Gauss rule with bilinear reads of the
+    window table V: the raw reduced integral G times its prefactor."""
+    bump = default_bump()
+    red = _ReducedIntegrand(M1, M2, N, N2)
+    c_max = N * min(math.hypot(1.0 / N2, M2), M1 + max(M1, M2)) * 1.0001
+    q_grid, c_grid, table = _window_table(2.3, c_max, n_q, n_c)
+    dq, dc = q_grid[1] - q_grid[0], c_grid[1] - c_grid[0]
+    u, wu = gauss_on(-1.0, 1.0, n)
+    b, wb = gauss_on(0.0, 1.0, n)
+    w, ww = gauss_on(-1.0, 1.0, n)
+    z, wz = gauss_on(-1.0, 1.0, n)
+    r = np.sqrt((u[:, None] / N2) ** 2 + (M2 * b[None, :]) ** 2)
+    corr = np.interp(r, red.corr_r, red.corr_v, right=0.0)
+    fac = (bump.chi(np.abs(u))[:, None] * bump.chi(b) * b * corr
+           * wu[:, None] * wb)
+    fw = bump.chi(np.abs(w)) * ww
+    fz = bump.line_marginal(z) * wz
+    total = 0.0
+    for i in range(n):
+        fq = (u[i] * (1.0 + w[None, :, None] / 10.0)
+              + (b[:, None] * z)[:, None, :] + 2.3) / dq
+        iq = fq.astype(np.int64)
+        fq -= iq
+        fc = (r[i] * N / dc)[:, None, None]
+        ic = fc.astype(np.int64)
+        fc -= ic
+        v = ((1 - fq) * (1 - fc) * table[iq, ic]
+             + fq * (1 - fc) * table[iq + 1, ic]
+             + (1 - fq) * fc * table[iq, ic + 1]
+             + fq * fc * table[iq + 1, ic + 1])
+        total += float(np.einsum("b,w,z,bwz->", fac[i], fw, fz, v))
+    return red.prefactor * total
+
+
+class TestFrequencyReduction:
+    def test_window_average_against_direct_quadrature(self):
+        # H(u, b) is the (w, z, tau) average of theta_hat(u (1 + w/10) + b z
+        # - c tau) against chi(w), the chord and the slice profile
+        red = _ReducedIntegrand(4.0, 4.0, 0.25, 8.0)
+        x, wx = gauss_on(-1.0, 1.0, 96)
+        fw, fz, ft = chi(x) * wx, _chord(x) * wx, _slice(x) * wx
+        got, want = [], []
+        for u, b in ((0.0, 0.1), (0.3, 0.5), (-0.7, 0.2), (0.5, 0.9)):
+            c = 0.25 * math.hypot(u / 8.0, 4.0 * b)
+            q = (u * (1.0 + x[:, None, None] / 10.0) + b * x[None, :, None]
+                 - c * x[None, None, :])
+            want.append(np.einsum("i,j,k,ijk->", fw, fz, ft,
+                                  default_cutoff().hat(q)))
+            got.append(float(red.window_average(u, b, c, 48)))
+        scale = max(abs(v) for v in want)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-6 * scale
+
+    def test_matches_refined_four_dimensional_rule(self, f448):
+        # the former 4-D rule over a window table 4x finer in both axes
+        want = _four_d_rule(4.0, 4.0, 0.25, 8.0) / math.prod(f448.l2_norms())
+        assert sharpness_integral(4, 4, None, 8) == pytest.approx(want, rel=1e-6)
