@@ -21,6 +21,11 @@ stays within the package's 2 MiB block budget), and one support factor,
 needs every tube at every point; its blocked dense sum reads the smear
 tables, uniform from 0, by index arithmetic with `grids.uniform_read`.
 
+The cavity is one (x-sheet, v-factor) pair behind every gridded f_r consumer:
+f_r_to_grid takes their outer product, the residual's transport leak pairs
+the sheet's spectral gradient (`grids.x_derivatives`) with v times the
+v-factor, and the cavity norms sample the sheet on one padded box.
+
 Norms of the construction (weighted Sobolev and the Z norm) are computed
 semi-analytically: the tube velocity supports are pairwise disjoint on the
 Fibonacci grid, so cross terms vanish and per-tube closed forms add exactly.
@@ -37,9 +42,9 @@ from scipy.spatial import cKDTree
 
 from .bump import chi, default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
-from .grids import (FieldTag, GridSpec, PhaseField, Storage, axis_sum, blocks,
-                    eta_dot_v, lattice_read, lattice_stencil, on_axes,
-                    uniform_read)
+from .grids import (FieldTag, GridSpec, PhaseField, Storage, _ft, axis_sum,
+                    blocks, lattice_read, lattice_stencil, uniform_read,
+                    x_derivatives)
 
 __all__ = [
     "AnsatzParams",
@@ -501,12 +506,6 @@ def _time_integral(p: AnsatzParams, t: float, X: np.ndarray, n: int) -> np.ndarr
     return acc
 
 
-def _beta_on(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
-    if beta is None:
-        return beta_eval(p, t, X)
-    return beta(t, X)
-
-
 def _cavity_profile(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarray:
     """exp(-beta(t, x)) chi(M|x|) at the (n, 3) points X; beta is evaluated
     only where the cavity is nonzero."""
@@ -514,7 +513,8 @@ def _cavity_profile(p: AnsatzParams, t: float, X: np.ndarray, beta) -> np.ndarra
     out = np.zeros(X.shape[0])
     mask = cav > 0.0
     if np.any(mask):
-        out[mask] = np.exp(-_beta_on(p, t, X[mask], beta)) * cav[mask]
+        b = beta_eval(p, t, X[mask]) if beta is None else beta(t, X[mask])
+        out[mask] = np.exp(-b) * cav[mask]
     return out
 
 
@@ -626,18 +626,22 @@ def f_a_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
 # family touches only its live (v-node, tube) pairs)
 # ---------------------------------------------------------------------------
 
+def _cavity_parts(p: AnsatzParams, t: float, grid: GridSpec,
+                  beta) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of the cavity field on the grid: the x-sheet
+    amp exp(-beta(t, x)) chi(M|x|), shape grid.nx, and the v-factor
+    chi(|v|/N), shape grid.nv.  f_r is their outer product."""
+    sheet = p.amp_r * _cavity_profile(p, t, grid.x_points(), beta)
+    vfac = chi(np.linalg.norm(grid.v_points(), axis=1) / p.N)
+    return sheet.reshape(grid.nx), vfac.reshape(grid.nv)
+
+
 def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
-    """Pointwise sample of the cavity field (separable: one x-sheet)."""
-    xpart = _cavity_sheet(p, t, grid, beta)
-    vfac = chi(np.linalg.norm(grid.v_points(), axis=1) / p.N).reshape(grid.nv)
+    """Pointwise sample of the cavity field: the outer product of its parts."""
+    sheet, vfac = _cavity_parts(p, t, grid, beta)
     return PhaseField(replace(grid, storage=Storage.Full),
-                      np.multiply.outer(xpart, vfac))
-
-
-def _cavity_sheet(p: AnsatzParams, t: float, grid: GridSpec, beta) -> np.ndarray:
-    out = p.amp_r * _cavity_profile(p, t, grid.x_points(), beta)
-    return out.reshape(grid.nx).astype(np.complex128)
+                      np.multiply.outer(sheet.astype(np.complex128), vfac))
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
@@ -667,12 +671,16 @@ def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
 # the residual of the combined ansatz in the full equation
 # ---------------------------------------------------------------------------
 
-def transport_term(field: PhaseField) -> PhaseField:
-    """v . grad_x f, computed spectrally in x."""
-    spec = field.to(FieldTag.Spectral_eta_v)
-    out = spec.data * eta_dot_v(field.grid)
-    out *= 2j * np.pi
-    return PhaseField(field.grid, out, FieldTag.Spectral_eta_v).to(field.tag)
+def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
+                   beta=None) -> PhaseField:
+    """The cavity transport leak v . grad_x f_r on the grid: the sum over a
+    of (d_a sheet) (v_a chi(|v|/N)), one (Nx, 3) @ (3, Nv) product of the
+    sheet's spectral derivatives (`grids.x_derivatives`) and the v-factor."""
+    sheet, vfac = _cavity_parts(p, t, grid, beta)
+    grad = np.stack([d.reshape(-1) for d in x_derivatives(sheet, grid)], axis=1)
+    grid = replace(grid, storage=Storage.Full)
+    out = grad @ (grid.v_points().T * vfac.reshape(-1))
+    return PhaseField(grid, out.reshape(grid.shape))
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -683,8 +691,9 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     returned fields: the cavity transport leak, three loss couplings, and the
     (negated) full gain term.  The two terms the construction absorbs exactly
     -- tube transport and the cavity's loss against the tubes -- are absent.
-    Loss factors use the closed-form densities; the gain term runs through
-    the spectral collision kernel on the caller's grid.
+    The transport leak comes from the gradient of the cavity's x-sheet
+    (`transport_term`), the loss factors from the closed-form densities; the
+    gain term runs through the spectral collision kernel on the caller's grid.
     """
     if float(np.max(grid.dx)) > 1.0 / (4.0 * p.M) + 1e-12:
         raise ValueError(
@@ -700,7 +709,7 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     rho_b = rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
 
     terms = [
-        ("transport_cavity", transport_term(fr)),
+        ("transport_cavity", transport_term(p, t, grid, beta=beta)),
         ("loss_tubes_cavity",
          PhaseField(grid, FOUR_PI * fb.data * rho_r, FieldTag.Physical_xv)),
         ("loss_cavity_cavity",
@@ -746,33 +755,26 @@ def f_b_sobolev_norm(p: AnsatzParams, q: float) -> float:
     return p.amp_b * math.sqrt(p.J * _tube_v_weight(p, q) * _tube_x_weight(p, q))
 
 
-def _cavity_sheet_fft(p: AnsatzParams, t: float, beta, nx: int, pad: float):
-    """Sample g = exp(-beta) chi(M|x|) on a padded cavity box and FFT it.
-
-    Returns g, its continuum transform, the per-axis frequency axis, the
-    cell volume and the frequency cell volume."""
-    half = pad / p.M
-    ax = -half + (2.0 * half / nx) * np.arange(nx)
-    X = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    g = _cavity_profile(p, t, X, beta).reshape(nx, nx, nx)
-    cell = (2.0 * half / nx) ** 3
-    ghat = np.fft.fftn(g) * cell
-    freq = np.fft.fftfreq(nx, d=2.0 * half / nx)
-    d_eta = (1.0 / (2.0 * half)) ** 3
-    return g, ghat, freq, cell, d_eta
-
-
-def f_r_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0, beta=None,
-                     nx: int = 64, pad: float = 2.0) -> float:
-    """|| f_r(t) ||_{L_v^{2,q} H_x^q}: v-part by quadrature, x-part by FFT."""
+def _cavity_on_box(p: AnsatzParams, q: float, t: float, beta
+                   ) -> tuple[GridSpec, np.ndarray, float]:
+    """The cavity's parts for its norms: the sheet on the padded box
+    [-2/M, 2/M)^3 at 64^3 points (16 cells across the support radius 1/M)
+    and int <v>^{2q} chi(|v|/N)^2 dv by a radial Gauss rule."""
+    box = GridSpec((64,) * 3, (1,) * 3, Lx=2.0 / p.M, Lv=p.N)
     r, wr = gauss_on(0.0, 1.0, 96)
-    c = default_bump().chi
     vsq = 4.0 * np.pi * p.N**3 * float(
-        wr @ (c(r) ** 2 * (1.0 + (p.N * r) ** 2) ** q * r**2))
-    _, ghat, freq, _, d_eta = _cavity_sheet_fft(p, t, beta, nx, pad)
-    k2 = axis_sum(lambda a: freq**2)
-    xsq = float(np.sum((1.0 + k2) ** q * np.abs(ghat) ** 2) * d_eta)
-    return p.amp_r * math.sqrt(vsq * xsq)
+        wr @ (chi(r) ** 2 * (1.0 + (p.N * r) ** 2) ** q * r**2))
+    return box, _cavity_parts(p, t, box, beta)[0], vsq
+
+
+def f_r_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0,
+                     beta=None) -> float:
+    """|| f_r(t) ||_{L_v^{2,q} H_x^q}: v-part by quadrature, x-part by FFT."""
+    box, sheet, vsq = _cavity_on_box(p, q, t, beta)
+    ghat = _ft(sheet, (0, 1, 2), box.cell_x)
+    k2 = axis_sum(lambda a: box.eta_axis(a) ** 2)
+    xsq = float(np.sum((1.0 + k2) ** q * np.abs(ghat) ** 2)) * box.cell_eta
+    return math.sqrt(vsq * xsq)
 
 
 def f_a_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0,
@@ -798,33 +800,17 @@ def f_b_z_norm(p: AnsatzParams) -> tuple[float, tuple[float, float, float, float
     return a + b + c + d, (a, b, c, d)
 
 
-def f_r_z_norm(p: AnsatzParams, t: float = 0.0, beta=None, nx: int = 64,
-               pad: float = 2.0) -> tuple[float, tuple[float, float, float, float]]:
+def f_r_z_norm(p: AnsatzParams, t: float = 0.0,
+               beta=None) -> tuple[float, tuple[float, float, float, float]]:
     """Z norm of the cavity field (x-parts on a padded FFT box)."""
-    bump = default_bump()
-    r, wr = gauss_on(0.0, 1.0, 96)
-    c = bump.chi
-    wv = math.sqrt(4.0 * np.pi * p.N**3 * float(
-        wr @ (c(r) ** 2 * (1.0 + (p.N * r) ** 2) * r**2)))
-    v_l1 = p.N**3 * bump.integral_3d
+    box, g, wv2 = _cavity_on_box(p, 1.0, t, beta)
+    v_l1 = p.N**3 * default_bump().integral_3d
+    mag2 = sum(d.real ** 2 for d in x_derivatives(g, box))  # |grad g|^2
 
-    g, ghat, freq, cell, _ = _cavity_sheet_fft(p, t, beta, nx, pad)
-    x_l2 = math.sqrt(float(np.sum(g**2)) * cell)
-    # |grad g| via per-axis spectral derivatives
-    mag2 = np.zeros_like(g)
-    for a in range(3):
-        deriv = ghat * (2j * np.pi) * on_axes(freq, (a,), 3)
-        mag2 += np.real(np.fft.ifftn(deriv) / cell) ** 2
-    gmag = np.sqrt(mag2)
-    x_grad_l2 = math.sqrt(float(np.sum(mag2)) * cell)
-    x_sup = float(np.max(g))
-    x_grad_sup = float(np.max(gmag))
-
-    amp = p.amp_r
-    a_ = p.M * amp * wv * x_l2
-    b_ = amp * wv * x_grad_l2
-    c_ = amp * v_l1 * x_sup
-    d_ = amp * v_l1 * x_grad_sup / p.M
+    a_ = p.M * math.sqrt(wv2 * float(np.sum(g**2)) * box.cell_x)
+    b_ = math.sqrt(wv2 * float(np.sum(mag2)) * box.cell_x)
+    c_ = v_l1 * float(np.max(g))
+    d_ = v_l1 * math.sqrt(float(np.max(mag2))) / p.M
     return a_ + b_ + c_ + d_, (a_, b_, c_, d_)
 
 

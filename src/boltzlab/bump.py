@@ -25,7 +25,7 @@ be mixed freely.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -214,10 +214,6 @@ class BumpProfile:
             False: 2.0 * np.pi * _right_cumtrapz(gc * rc, rc),
             True: 2.0 * np.pi * _right_cumtrapz(gc**2 * rc, rc),
         }
-        s_grid = np.linspace(0.0, 1.0, 1024)
-        self._line_grid = s_grid
-        self._line_tables = {sq: _line_marginal_table(s_grid, sq)
-                             for sq in (False, True)}
 
         self.roundtrip_rel_error = self._roundtrip_error()
 
@@ -255,7 +251,20 @@ class BumpProfile:
         profile, whose 1-D transform is hat(., 2)."""
         s = np.abs(np.asarray(s, dtype=float))
         table = self._line_tables[bool(squared)]
-        return uniform_read(s, table, self._line_grid[1])
+        return uniform_read(s, table, 1.0 / (table.size - 1))
+
+    @cached_property
+    def _line_tables(self) -> dict[bool, np.ndarray]:
+        """The line marginals of chi and chi^2 on 1024 points of [0, 1], by
+        direct quadrature, built on first use: only line_marginal reads them."""
+        s_grid = np.linspace(0.0, 1.0, 1024)
+        out = {sq: np.zeros_like(s_grid) for sq in (False, True)}
+        for i, s in enumerate(s_grid[:-1]):  # the chord at s = 1 is empty
+            u, w = gauss_on(0.0, np.sqrt(1.0 - s * s), 96)
+            g = chi(np.sqrt(s * s + u * u))
+            out[False][i] = 2.0 * float(w @ g)
+            out[True][i] = 2.0 * float(w @ (g * g))
+        return out
 
     # -- internal ----------------------------------------------------------
 
@@ -277,20 +286,6 @@ def _right_cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     total = np.concatenate([[0.0], np.cumsum(
         0.5 * (y[1:] + y[:-1]) * np.diff(x))])
     return total[-1] - total
-
-
-def _line_marginal_table(s_grid: np.ndarray, squared: bool) -> np.ndarray:
-    out = np.zeros_like(s_grid)
-    for i, s in enumerate(s_grid):
-        span = 1.0 - s * s
-        if span <= 0.0:
-            continue
-        u, w = gauss_on(0.0, np.sqrt(span), 96)
-        g = chi(np.sqrt(s * s + u * u))
-        if squared:
-            g = g * g
-        out[i] = 2.0 * float(w @ g)
-    return out
 
 
 @lru_cache(maxsize=1)

@@ -492,6 +492,21 @@ def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
     return PhaseField(grid, out, new_tag)
 
 
+def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
+    """Spectral d/dx_a, a = 0, 1, 2, of samples on the x axes of `grid`
+    (axes 0-2 of data; trailing axes broadcast): one forward transform, then
+    the symbol 2 pi i eta_a and one inverse transform per axis.  Each axis's
+    Nyquist frequency gets symbol 0, the usual rule for odd-order spectral
+    derivatives: its sample stands for both +eta and -eta, whose symbols
+    cancel, so a real field keeps a real gradient."""
+    spec = _ft(data, (0, 1, 2), grid.cell_x)
+    for a in range(3):
+        eta = grid.eta_axis(a)
+        eta[grid.nx[a] // 2] = 0.0  # the Nyquist entry (eta = 0 when n = 1)
+        yield _ift(spec * on_axes(2j * np.pi * eta, (a,), data.ndim), (0, 1, 2),
+                   grid.cell_x)
+
+
 # ---------------------------------------------------------------------------
 # free transport / hyperbolic Schrodinger propagator
 # ---------------------------------------------------------------------------

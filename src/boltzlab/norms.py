@@ -6,7 +6,8 @@ Weight conventions (fixed once, used consistently package-wide):
 * Japanese brackets of spectral variables use the frequency in cycles:
   <eta> = sqrt(1 + |eta|^2), likewise <v>, and the modulation bracket
   <tau + eta.v> with tau in cycles.
-* The spatial gradient grad_x is the honest derivative, symbol 2*pi*i*eta.
+* The spatial gradient grad_x is the honest derivative, symbol 2*pi*i*eta,
+  with symbol 0 at each axis's Nyquist frequency (`grids.x_derivatives`).
 * Mixed Lebesgue norms are v-outer / x-inner, written "Lv{p}[,{r}]_Lx{q}"
   (e.g. "Lv2,1_Lx2" for the <v>-weighted L2_v of the L2_x norm, "Lv1_LxInf").
 """
@@ -30,7 +31,7 @@ from boltzlab.grids import (
     axis_sum,
     eta_dot_v,
     on_axes,
-    transform,
+    x_derivatives,
 )
 
 # either storage: consumers read both through field.v_blocks(tag)
@@ -106,13 +107,8 @@ def apply_bracket_weights(field: PhaseField, s: float, r: float) -> PhaseField:
 
 def grad_x_magnitude(field: PhaseField) -> PhaseField:
     """|grad_x f| pointwise (Euclidean length over the three x-derivatives)."""
-    spec = field.to(FieldTag.Spectral_eta_v)
-    acc = np.zeros(field.grid.shape)
-    for a in range(3):
-        deriv = spec.data * (2j * np.pi) * on_axes(field.grid.eta_axis(a), (a,), 6)
-        comp = transform(PhaseField(field.grid, deriv, FieldTag.Spectral_eta_v),
-                         "x", "inverse")
-        acc += np.abs(comp.data) ** 2
+    data = field.to(FieldTag.Physical_xv).data
+    acc = sum(np.abs(d) ** 2 for d in x_derivatives(data, field.grid))
     return PhaseField(field.grid, np.sqrt(acc).astype(complex), FieldTag.Physical_xv)
 
 

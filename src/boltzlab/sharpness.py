@@ -124,17 +124,22 @@ class SharpnessFunctions:
         return (out / (self.M2 * self.N2)).reshape(batch)
 
     def l2_norms(self) -> tuple[float, float, float]:
-        """Exact L^2 norms of the three profiles (scale-independent).
+        """Exact L^2 norms of the three profiles (see `_l2_norms`)."""
+        return _l2_norms(self.bump, self.J, self.M2, self.N2)
 
-        phi and zeta factor into two balls; psi's tubes have pairwise
-        disjoint velocity supports so cross terms vanish and the sum
-        contributes exactly J single-tube masses.
-        """
-        b = self.bump
-        ball = b.l2sq_3d
-        tube = b.l2sq_2d**2 * b.l2sq_1d**2 / 10.0
-        psi = math.sqrt(self.J / (self.M2 * self.N2) ** 2 * tube)
-        return ball, psi, ball
+
+def _l2_norms(b: BumpProfile, J: int, M2: float, N2: float
+              ) -> tuple[float, float, float]:
+    """Exact L^2 norms of (phi_hat, psi_hat, zeta_hat) with J tubes in
+    psi_hat, from the bump tables alone (scale-independent).
+
+    phi and zeta factor into two balls; psi's tubes have pairwise disjoint
+    velocity supports so cross terms vanish and the sum contributes exactly
+    J single-tube masses.
+    """
+    ball = b.l2sq_3d
+    tube = b.l2sq_2d**2 * b.l2sq_1d**2 / 10.0
+    return ball, math.sqrt(J / (M2 * N2) ** 2 * tube), ball
 
 
 def sharpness_functions(M1, M2, N=None, N2=8) -> SharpnessFunctions:
@@ -278,8 +283,9 @@ def sharpness_integral(M1, M2, N=None, N2=8, budget: int = 1 << 18,
     M1, M2, N, N2 = _validate(M1, M2, N, N2)
     if not 0.0 <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
-    funcs = SharpnessFunctions.make(M1, M2, N, N2)
-    scale = math.prod(funcs.l2_norms()) if normalized else 1.0
+    # J = (M2 N2)^2 tubes, as in SharpnessFunctions.make
+    scale = (math.prod(_l2_norms(default_bump(), (M2 * N2) ** 2, M2, N2))
+             if normalized else 1.0)
     red = _ReducedIntegrand(M1, M2, N, N2)
 
     if method == "gauss":

@@ -33,6 +33,7 @@ from boltzlab.ansatz import (
     rho_b_radial,
     rho_r_eval,
     sphere_grid,
+    transport_term,
     _smear,
 )
 from boltzlab.bump import default_bump, gauss_on
@@ -690,6 +691,34 @@ class TestResidualTerms:
         mask = chi2 > 1e-8
         rel = np.max(np.abs(sheet[mask] - pred[mask]) / np.abs(pred[mask]))
         assert rel < 1e-6
+
+    def test_transport_matches_six_d_spectral_form(self, p4, caches):
+        # v . grad_x f_r through the 6-D x-transform of the sampled cavity,
+        # each axis's Nyquist frequency given symbol 0; Lv = 0.3 puts several
+        # v nodes inside the cavity's velocity ball |v| < N
+        _, cache = caches[4]
+        grid = GridSpec((16,) * 3, (8,) * 3, Lx=1.9 / p4.M, Lv=0.3)
+        t = 0.5 * p4.t_star
+        sym = grids.eta_dot_v(grid)
+        for a in range(3):
+            nyq = grid.eta_axis(a) * (np.arange(grid.nx[a]) == grid.nx[a] // 2)
+            sym = sym - grids.on_axes(np.outer(nyq, grid.v_axis(a)), (a, 3 + a), 6)
+        spec = grids.transform(f_r_to_grid(p4, t, grid, beta=cache), "x", "forward")
+        want = grids.transform(
+            grids.PhaseField(grid, 2j * np.pi * sym * spec.data, spec.tag),
+            "x", "inverse").data
+        got = transport_term(p4, t, grid, cache).data
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # the cavity is real, and so is its transport leak
+        assert np.max(np.abs(got.imag)) <= 1e-14 * scale
+
+    def test_transport_zero_on_residual_grid(self, p4, caches):
+        # chi(|v|/N) vanishes at every v node but v = 0, where v . grad_x f = 0
+        _, cache = caches[4]
+        grid = GridSpec((16,) * 3, (8,) * 3, Lx=1.9 / p4.M, Lv=1.25 * p4.N2,
+                        full_cap=24**6)
+        assert not np.any(transport_term(p4, 0.5 * p4.t_star, grid, cache).data)
 
     def test_tube_loss_scaling(self):
         # || Q-(f_b, f_b) ||_{L^2} tracks (M N2)^(1/2 - 2s)

@@ -274,6 +274,27 @@ class TestTransforms:
         assert rel < 5e-8
 
 
+class TestXDerivatives:
+    def test_gaussian_gradient(self):
+        # a Gaussian well inside the box, times a trailing axis that broadcasts
+        g = GridSpec((64, 64, 64), (1, 1, 1), Lx=10.0, Lv=1.0)
+        X = g.x_mesh()
+        c, w = np.array([0.3, -0.2, 0.1]), np.array([1.0, 1.1, 1.2])
+        prof = np.exp(-0.5 * sum(((X[a] - c[a]) / w[a]) ** 2 for a in range(3)))
+        tail = np.array([1.0, -2.0])
+        for a, d in enumerate(grids.x_derivatives(prof[..., None] * tail, g)):
+            want = (-(X[a] - c[a]) / w[a] ** 2 * prof)[..., None] * tail
+            assert np.max(np.abs(d - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_real_field_has_real_gradient(self):
+        # with symbol 2 pi i eta at the Nyquist frequency the gradient of a
+        # rough real field would carry an imaginary part of its own size
+        g = small_grid()
+        data = np.random.default_rng(5).standard_normal(g.nx + (3,))
+        for d in grids.x_derivatives(data, g):
+            assert np.max(np.abs(d.imag)) <= 1e-14 * np.max(np.abs(d.real))
+
+
 class TestFreeTransport:
     def test_matches_oracle_to_1e8(self):
         g = GridSpec((32, 32, 32), (4, 4, 4), Lx=24.0, Lv=2.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boltzlab import grids
+from boltzlab.ansatz import TubeFamily
 from boltzlab.bump import chi, default_bump, default_cutoff, gauss_on
 from boltzlab.sharpness import (
     QuadratureBudgetError,
@@ -157,6 +158,14 @@ class TestIntegral:
         norm = sharpness_integral(4, 4, None, 8)
         assert raw / norm == pytest.approx(math.prod(f448.l2_norms()),
                                            rel=1e-12)
+
+    def test_normalization_builds_no_tube_family(self, monkeypatch):
+        # the three L^2 norms come from the bump tables alone
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("sharpness_integral built a TubeFamily")
+
+        monkeypatch.setattr(TubeFamily, "make", classmethod(refuse))
+        assert sharpness_integral(4, 4, None, 8) == pytest.approx(14.171269, rel=1e-5)
 
     def test_scaling_in_tube_count(self):
         vals = [sharpness_integral(4, 4, None, n2) for n2 in (4, 8, 16)]
