@@ -705,17 +705,17 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     fa = fr + fb
 
     X = grid.x_points()
-    rho_r = rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
-    rho_b = rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
+    loss_r = FOUR_PI * rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
+    loss_b = FOUR_PI * rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
 
     terms = [
         ("transport_cavity", transport_term(p, t, grid, beta=beta)),
         ("loss_tubes_cavity",
-         PhaseField(grid, FOUR_PI * fb.data * rho_r, FieldTag.Physical_xv)),
+         PhaseField(grid, fb.data * loss_r, FieldTag.Physical_xv)),
         ("loss_cavity_cavity",
-         PhaseField(grid, FOUR_PI * fr.data * rho_r, FieldTag.Physical_xv)),
+         PhaseField(grid, fr.data * loss_r, FieldTag.Physical_xv)),
         ("loss_tubes_tubes",
-         PhaseField(grid, FOUR_PI * fb.data * rho_b, FieldTag.Physical_xv)),
+         PhaseField(grid, fb.data * loss_b, FieldTag.Physical_xv)),
         ("gain_full", gain_term_spectral(fa, fa, cfg) * (-1.0)),
     ]
     return terms

@@ -303,9 +303,10 @@ class TimeCutoff:
 
     The ramp is `smoothstep` run backwards, the step the smooth dyadic
     projectors use, so theta is identically 1 on the plateau and identically
-    0 beyond plateau + ramp.  hat(a) tabulates the cosine transform
+    0 beyond plateau + ramp.  hat(a) reads the cosine transform
         2 int_0^inf theta(t) cos(2 pi a t) dt
-    on [0, a_max] (theta is even, so this is the full Fourier transform).
+    tabulated on [0, a_max] on first use (theta is even, so this is the
+    full Fourier transform).
     """
 
     def __init__(self, plateau: float = 1.0, ramp: float = 1.0,
@@ -316,14 +317,22 @@ class TimeCutoff:
         self.plateau = float(plateau)
         self.ramp = float(ramp)
         self.a_max = float(a_max)
+        self.a_grid = np.linspace(0.0, self.a_max, int(n_a))
+
+    @cached_property
+    def hat_table(self) -> np.ndarray:
+        """The transform on a_grid by a 2048-node Gauss rule in t."""
         t, w = gauss_on(0.0, self.plateau + self.ramp, 2048)
         th = self(t)
-        self.a_grid = np.linspace(0.0, self.a_max, int(n_a))
-        self.hat_table = np.empty(self.a_grid.size)
+        table = np.empty(self.a_grid.size)
         for sl in blocks(self.a_grid.size, t.size):
             kernel = np.cos(2.0 * np.pi * np.outer(self.a_grid[sl], t))
-            self.hat_table[sl] = 2.0 * (kernel * (th * w)).sum(axis=1)
-        self._hat_spline = CubicSpline(self.a_grid, self.hat_table)
+            table[sl] = 2.0 * (kernel * (th * w)).sum(axis=1)
+        return table
+
+    @cached_property
+    def _hat_spline(self) -> CubicSpline:
+        return CubicSpline(self.a_grid, self.hat_table)
 
     def __call__(self, t) -> np.ndarray:
         t = np.abs(np.asarray(t, dtype=float))

@@ -13,8 +13,9 @@ one real CSR pair (S+_q, S-_q) of shape (Nv, prod(2*nv)), so that
 
     Qhat+ = sum_q (S+_q F) (S-_q G),   F, G the raw padded DFTs,
 
-followed by the inverse transform.  F is a pruned transform: one axis at a
-time, over the slabs that are not all zeros; when g is f it is taken once.
+followed by the inverse transform.  F is a pruned in-place transform of
+one zeroed padded buffer; when g is f it is taken once.  x rows (8 Nv
+complex entries each) and trigonometric read points run in `grids.blocks`.
 The operator weights fold in the node weight and cell_v**2 (+ side), the
 dealias ball at the read point and the (-1)^k edge sign of each column;
 the columns fold in the fftshift of the padded lattice and the ball on it,
@@ -157,8 +158,8 @@ class CollisionConfig:
     weights, ball radius), holding the four latest; the node weights, the
     cell_v**2 of the two forward transforms, the ball, the (-1)^k edge
     sign and the padded lattice's fftshift are folded into them, so they
-    read the raw padded DFT.  direct_cap guards the brute-force oracle's
-    cost.
+    read the raw padded DFT.  x rows and Trig points run in `grids.blocks`
+    (8 Nv complex entries per row).  direct_cap guards the oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -224,13 +225,6 @@ def loss_term(f, g):
 # spectral gain term
 # ---------------------------------------------------------------------------
 
-def _xi_lattice(grid: GridSpec) -> np.ndarray:
-    """All xi lattice points in FFT order, shape (Nv, 3)."""
-    axes = [grid.xi_axis(a) for a in range(3)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _dealias_radius(grid: GridSpec, margin: float) -> float:
     nyq = min(grid.nv[a] / (4.0 * grid.Lv) for a in range(3))
     return (1.0 - margin) * nyq
@@ -241,16 +235,29 @@ def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
     [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)), in FFT
     order with the chunk axis last: the contiguous (prod(2*nv), c) lattice
     that the gain operators read.  Edge phase and cell volume are left to
-    the operators.  Axes are padded and transformed one at a time (2, 1,
-    0), so each 1-D FFT runs only over slabs that are not all zeros."""
-    spec = np.moveaxis(chunk, 0, -1)
+    the operators.  The block is written once into the centre of one zeroed
+    (2n1, 2n2, 2n3, c) buffer, which is transformed in place one axis at a
+    time (2, 1, 0), each 1-D FFT only over the slabs that are not all zeros."""
+    c = chunk.shape[0]
+    core = tuple(slice(n // 2, n // 2 + n) for n in grid.nv)
+    spec = np.zeros(tuple(2 * n for n in grid.nv) + (c,), dtype=np.complex128)
+    spec[core] = np.moveaxis(chunk, 0, -1)
     for a in (2, 1, 0):
-        n = grid.nv[a]
-        padded = np.zeros(spec.shape[:a] + (2 * n,) + spec.shape[a + 1:],
-                          dtype=np.complex128)
-        padded[(slice(None),) * a + (slice(n // 2, n // 2 + n),)] = spec
-        spec = np.fft.fft(padded, axis=a, out=padded)
-    return spec.reshape(-1, chunk.shape[0])
+        slab = spec[core[:a]]
+        np.fft.fft(slab, axis=a, out=slab)
+    return spec.reshape(-1, c)
+
+
+def _node_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
+    """Per quadrature node w, (w_q, (xi+, in+), (xi-, in-)): the read points
+    xi+ = xi - (xi.w)w and xi- = (xi.w)w of every lattice xi (FFT order),
+    each with its mask of the dealias ball of the given radius."""
+    mesh = np.meshgrid(*(grid.xi_axis(a) for a in range(3)), indexing="ij")
+    xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (Nv, 3), FFT order
+    for w_q, omega in zip(quad.weights, quad.nodes):
+        xim = (xi @ omega)[:, None] * omega[None, :]
+        yield w_q, *((pts, np.sum(pts**2, axis=1) <= radius**2)
+                     for pts in (xi - xim, xim))
 
 
 def _read_operator(idx: np.ndarray, w: np.ndarray,
@@ -283,9 +290,8 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
     of the reads of the shifted, ball-masked continuum spectra, and a time
     loop pays the build once per (grid, nodes, weights, radius); the four
     latest sets stay cached."""
-    nodes = np.frombuffer(nodes).reshape(-1, 3)
-    weights = np.frombuffer(weights)
-    xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
+    quad = SphereQuadrature(np.frombuffer(nodes).reshape(-1, 3),
+                            np.frombuffer(weights))
     nv = grid.nv
     pshape = tuple(2 * n for n in nv)
     step = 1.0 / (4.0 * grid.Lv)
@@ -296,12 +302,10 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
     r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * step) ** 2)
     ball = (r2 <= radius**2).ravel()
     ops = []
-    for w_q, omega in zip(weights, nodes):
-        xim = (xi @ omega)[:, None] * omega[None, :]
+    for w_q, plus, minus in _node_reads(grid, quad, radius):
         pair = []
-        for scale, pts in ((w_q * grid.cell_v**2, xi - xim), (1.0, xim)):
+        for scale, (pts, inside) in ((w_q * grid.cell_v**2, plus), (1.0, minus)):
             idx, w = lattice_stencil(pts, origin, step, pshape)
-            inside = np.sum(pts**2, axis=1) <= radius**2
             col = column[idx]
             w = w * (ball[idx] & inside) * sign[col] * scale
             pair.append(_read_operator(col, w, column.size))
@@ -310,39 +314,32 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
 
 
 def _tensor_trig_eval(data: np.ndarray, axes: list[np.ndarray],
-                      points: np.ndarray, sign: float,
-                      block: int = 8192) -> np.ndarray:
+                      points: np.ndarray, sign: float) -> np.ndarray:
     """sum_k data[..., k1,k2,k3] exp(sign * 2 pi i p.(a1[k1],a2[k2],a3[k3]))
     at arbitrary points p, with the exponential factored over the product
     lattice (three small phase matrices per block instead of one huge one).
+    Points run in `grids.blocks`, each one complex (c, n1, n2) slab.
 
     data: (c, n1, n2, n3); returns (c, npts)."""
     c, n1, n2, n3 = data.shape
-    npts = points.shape[0]
-    out = np.empty((c, npts), dtype=np.complex128)
+    out = np.empty((c, points.shape[0]), dtype=np.complex128)
     flat12 = data.reshape(c * n1 * n2, n3)
-    for lo in range(0, npts, block):
-        hi = min(lo + block, npts)
-        phase = sign * 2j * np.pi
-        E1 = np.exp(phase * np.outer(points[lo:hi, 0], axes[0]))
-        E2 = np.exp(phase * np.outer(points[lo:hi, 1], axes[1]))
-        E3 = np.exp(phase * np.outer(points[lo:hi, 2], axes[2]))
-        T1 = (flat12 @ E3.T).reshape(c, n1, n2, hi - lo)
+    phase = sign * 2j * np.pi
+    for sl in blocks(points.shape[0], 2 * c * n1 * n2):
+        E1, E2, E3 = (np.exp(phase * np.outer(points[sl, a], axes[a]))
+                      for a in range(3))
+        T1 = (flat12 @ E3.T).reshape(c, n1, n2, sl.stop - sl.start)
         T2 = np.einsum("xijb,bj->xib", T1, E2)
-        out[:, lo:hi] = np.einsum("xib,bi->xb", T2, E1)
+        out[:, sl] = np.einsum("xib,bi->xb", T2, E1)
     return out
 
 
-def _trig_eval(chunk: np.ndarray, grid: GridSpec, points: np.ndarray,
-               inside: np.ndarray) -> np.ndarray:
-    """Exact forward-transform samples of (c, nv) physical data at arbitrary
-    xi points: F(xi) = sum_v f(v) exp(-2 pi i xi.v) * cell.  Points outside
-    the dealias ball are zeroed via `inside`."""
-    c = chunk.shape[0]
-    vaxes = [grid.v_axis(a) for a in range(3)]
-    out = _tensor_trig_eval(chunk.reshape((c,) + grid.nv), vaxes, points, -1.0)
-    out *= grid.cell_v
-    out *= inside
+def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
+               inside: np.ndarray, sign: float, cell: float) -> np.ndarray:
+    """cell times the `_tensor_trig_eval` sums of (c, n1, n2, n3) data at the
+    points where `inside` holds, and zero at the others: (c, npts)."""
+    out = np.zeros((data.shape[0], points.shape[0]), dtype=np.complex128)
+    out[:, inside] = _tensor_trig_eval(data, axes, points[inside], sign) * cell
     return out
 
 
@@ -372,42 +369,35 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         ops = _gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
                               radius)
     else:
-        # the trigonometric sums read each node's (xi+, xi-) points directly,
-        # zeroed outside the dealias ball
-        xi = _xi_lattice(grid)  # (Nv, 3) in FFT order
-        reads = []
-        for w_i, omega in zip(quad.weights, quad.nodes):
-            xim = (xi @ omega)[:, None] * omega[None, :]
-            sides = [(pts, np.sum(pts**2, axis=1) <= radius**2)
-                     for pts in (xi - xim, xim)]
-            reads.append((w_i, *sides))
+        # exact forward-transform samples F(xi) = sum_v f(v) exp(-2 pi i xi.v)
+        # * cell at each node's (xi+, xi-) points, zero outside the ball
+        vaxes = [grid.v_axis(a) for a in range(3)]
+        reads = list(_node_reads(grid, quad, radius))
 
     fd = f.data.reshape((nxtot,) + grid.nv)
     gd = g.data.reshape((nxtot,) + grid.nv)
     same = g is f or g.data is f.data
     out = np.empty((nxtot, nvtot), dtype=np.complex128)
 
-    # keep each padded spectral chunk around 50 MB (8x entries after padding)
-    chunk = max(1, int(3e6 // (8 * nvtot)))
-    for lo in range(0, nxtot, chunk):
-        hi = min(lo + chunk, nxtot)
+    # one padded row holds 8 Nv complex entries: 16 Nv float64
+    for sl in blocks(nxtot, 16 * nvtot):
+        rows = sl.stop - sl.start
         if trilinear:
             # the real operators act on the float64 view of the complex
             # spectrum: 2c real columns, no complex copy of the matrices
-            Fl = _padded_spectrum(fd[lo:hi], grid).view(np.float64)
-            Gl = Fl if same else _padded_spectrum(gd[lo:hi], grid).view(np.float64)
-            acc = np.zeros((nvtot, hi - lo), dtype=np.complex128)
+            Fl = _padded_spectrum(fd[sl], grid).view(np.float64)
+            Gl = Fl if same else _padded_spectrum(gd[sl], grid).view(np.float64)
+            acc = np.zeros((nvtot, rows), dtype=np.complex128)
             for sp, sm in ops:
                 acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
             acc = acc.T
         else:
-            acc = np.zeros((hi - lo, nvtot), dtype=np.complex128)
-            for w_i, (xip, mp), (xim, mm) in reads:
-                Fv = _trig_eval(fd[lo:hi], grid, xip, mp)
-                Gv = _trig_eval(gd[lo:hi], grid, xim, mm)
-                acc += w_i * Fv * Gv
-        out[lo:hi] = _ift(acc.reshape((hi - lo,) + grid.nv), (1, 2, 3),
-                          grid.cell_v).reshape(hi - lo, nvtot)
+            acc = np.zeros((rows, nvtot), dtype=np.complex128)
+            for w_q, (xip, inp), (xim, inm) in reads:
+                acc += (w_q * _trig_read(fd[sl], vaxes, xip, inp, -1.0, grid.cell_v)
+                        * _trig_read(gd[sl], vaxes, xim, inm, -1.0, grid.cell_v))
+        out[sl] = _ift(acc.reshape((rows,) + grid.nv), (1, 2, 3),
+                       grid.cell_v).reshape(rows, nvtot)
 
     out = out.reshape(grid.shape)
     scale = np.max(np.abs(out))
@@ -415,7 +405,8 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         resid = float(np.max(np.abs(out.imag)) / scale)
         if resid > 1e-8:
             logger.debug("gain_term_spectral: imaginary residue %.3e", resid)
-    return PhaseField(grid, out.real.astype(np.complex128), FieldTag.Physical_xv)
+    out.imag[...] = 0.0
+    return PhaseField(grid, out, FieldTag.Physical_xv)
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +457,15 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
         vstar = (V[:, None, :] - k[:, :, None] * omega).reshape(-1, 3)
         ustar = (V[None, :, :] + k[:, :, None] * omega).reshape(-1, 3)
         if trig:
-            iv = np.nonzero(np.all((vstar >= -grid.Lv) & (vstar < grid.Lv), axis=1))[0]
-            iu = np.nonzero(np.all((ustar >= -grid.Lv) & (ustar < grid.Lv), axis=1))[0]
+            inv = np.all((vstar >= -grid.Lv) & (vstar < grid.Lv), axis=1)
+            inu = np.all((ustar >= -grid.Lv) & (ustar < grid.Lv), axis=1)
         else:
             sv = lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv)
             su = lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)
         for sl in blocks(nxtot, 2 * nvtot**2):  # complex: two float64 each
             if trig:
-                fv = np.zeros((sl.stop - sl.start, vstar.shape[0]),
-                              dtype=np.complex128)
-                gu = np.zeros_like(fv)
-                fv[:, iv] = _tensor_trig_eval(spec_f[sl], xiaxes, vstar[iv],
-                                              +1.0) * grid.cell_xi
-                gu[:, iu] = _tensor_trig_eval(spec_g[sl], xiaxes, ustar[iu],
-                                              +1.0) * grid.cell_xi
+                fv = _trig_read(spec_f[sl], xiaxes, vstar, inv, +1.0, grid.cell_xi)
+                gu = _trig_read(spec_g[sl], xiaxes, ustar, inu, +1.0, grid.cell_xi)
             else:
                 fv = lattice_read(fd[sl], sv)
                 gu = lattice_read(gd[sl], su)

@@ -356,7 +356,8 @@ def eta_dot_v(grid: GridSpec) -> np.ndarray:
 # block budget
 # ---------------------------------------------------------------------------
 
-#: float64 elements per dense temporary (2 MiB): small enough to stay in
+#: float64 elements per dense temporary (2 MiB), the one budget of every
+#: dense loop in the package (through `blocks`): small enough to stay in
 #: cache, large enough that numpy's per-call overhead is amortised
 _BLOCK = 1 << 18
 

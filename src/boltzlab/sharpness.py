@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import TubeFamily, _as_pairs, _is_dyadic
+from .ansatz import TubeFamily, _as_pairs, _is_dyadic, _tube_family
 from .bump import BumpProfile, default_bump, default_cutoff, gauss_on
 from .grids import blocks, uniform_read
 
@@ -94,7 +94,7 @@ class SharpnessFunctions:
     @classmethod
     def make(cls, M1, M2, N=None, N2=8) -> "SharpnessFunctions":
         M1, M2, N, N2 = _validate(M1, M2, N, N2)
-        fam = TubeFamily.make(int(M2), int(N2), 0.75)
+        fam = _tube_family(int(M2), int(N2), 0.75)
         return cls(M1, M2, N, N2, fam, default_bump())
 
     @property

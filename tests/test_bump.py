@@ -244,3 +244,9 @@ class TestTimeCutoff:
     def test_rejects_non_finite_geometry(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             TimeCutoff(**{name: bad})
+
+    def test_hat_table_built_on_first_use(self):
+        tc = TimeCutoff()
+        assert "hat_table" not in tc.__dict__
+        tc.hat(0.4)
+        assert "hat_table" in tc.__dict__

@@ -1,6 +1,7 @@
 """Collision operators: geometry, loss/gain terms, invariants, oracle."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -367,7 +368,7 @@ class TestGainOperators:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_matches_reference_gain_over_x_chunks(self):
-        # 1024 x-cells at 8^3 span two x-chunks of the gain (732 cells each)
+        # 1024 x-cells at 8^3 span 32 row blocks of the gain (32 rows each)
         grid = GridSpec((16, 8, 8), (8, 8, 8), Lx=1.0, Lv=4.0)
         rng = np.random.default_rng(42)
         f = x_varying(smooth_blob(grid, rng), rng)
@@ -450,6 +451,38 @@ class TestGainOperators:
         other = PhaseField(grid, f.data.copy(), FieldTag.Physical_xv)
         assert np.array_equal(gain_term_spectral(f, f, cfg).data,
                               gain_term_spectral(f, other, cfg).data)
+
+
+    @pytest.mark.parametrize("interp", [Interpolation.Trilinear,
+                                        Interpolation.Trig])
+    def test_blocks_leave_output_unchanged(self, interp, monkeypatch):
+        grid = GridSpec((4, 4, 4), (8, 8, 8), Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(48)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        g = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8),
+                              interpolation=interp)
+        whole = gain_term_spectral(f, g, cfg).data
+        # three padded rows (8 Nv complex entries each) per x block: 22
+        # blocks; the Trig reads then take 64 points per block
+        monkeypatch.setattr(grids, "_BLOCK", 3 * 16 * 512)
+        blocked = gain_term_spectral(f, g, cfg).data
+        assert np.array_equal(blocked, whole)
+
+    def test_traced_peak_within_twice_the_output(self):
+        # the x blocks keep the padded spectra near the block budget, so one
+        # call's traced peak is the output plus little more
+        grid = GridSpec((16, 16, 16), (8, 8, 8), Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(49)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        tracemalloc.start()
+        try:
+            out = gain_term_spectral(f, f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.data.nbytes
 
 
 class TestPaddedSpectrum:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boltzlab import grids
-from boltzlab.ansatz import TubeFamily
+from boltzlab.ansatz import AnsatzParams, TubeFamily
 from boltzlab.bump import chi, default_bump, default_cutoff, gauss_on
 from boltzlab.sharpness import (
     QuadratureBudgetError,
@@ -117,6 +117,10 @@ class TestFunctions:
     def test_rejects_non_finite_scales(self, scales, name):
         with pytest.raises(ValueError, match=name):
             sharpness_integral(*scales)
+
+    def test_shares_the_ansatz_tube_family(self):
+        # one cached J = 65536 family for both, not two builds
+        assert sharpness_functions(4, 16, None, 16).family is AnsatzParams.make(M=16).tube
 
 
 class TestBallCorrelation:
