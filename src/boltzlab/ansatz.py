@@ -708,6 +708,8 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     loss_r = FOUR_PI * rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
     loss_b = FOUR_PI * rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
 
+    gain = gain_term_spectral(fa, fa, cfg)  # a fresh field: negate in place
+    np.negative(gain.data, out=gain.data)
     terms = [
         ("transport_cavity", transport_term(p, t, grid, beta=beta)),
         ("loss_tubes_cavity",
@@ -716,7 +718,7 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
          PhaseField(grid, fr.data * loss_r, FieldTag.Physical_xv)),
         ("loss_tubes_tubes",
          PhaseField(grid, fb.data * loss_b, FieldTag.Physical_xv)),
-        ("gain_full", gain_term_spectral(fa, fa, cfg) * (-1.0)),
+        ("gain_full", gain),
     ]
     return terms
 

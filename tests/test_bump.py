@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import j0
 
 from boltzlab.bump import (
@@ -187,6 +188,34 @@ class TestBumpProfile:
     def test_default_is_shared(self):
         assert default_bump() is default_bump()
 
+    def test_sup_abs_grad_is_the_closed_form_peak(self, bump):
+        assert bump.sup_abs_grad == abs(float(chi_prime(3.0 ** -0.25)))
+        r = np.linspace(0.0, 1.0, 10**6)
+        assert bump.sup_abs_grad >= float(np.max(np.abs(chi_prime(r))))
+
+    def test_default_rule_has_converged(self, bump):
+        fine = BumpProfile(quad_nodes=2048)
+        for d in (1, 2, 3):
+            assert np.max(np.abs(bump.hat_tables[d] - fine.hat_tables[d])) < 1e-14
+        for name in ("integral_1d", "integral_2d", "integral_3d", "l2sq_1d",
+                     "l2sq_2d", "l2sq_3d", "grad_l2sq_1d", "grad_l2sq_2d",
+                     "grad_l2sq_3d"):
+            assert abs(getattr(bump, name) - getattr(fine, name)) < 1e-15, name
+
+    def test_hat_reads_match_scipy_cubic_spline(self, bump):
+        # scipy's spline through the table at the integer knots 0 .. n-1 is
+        # the same not-a-knot spline in the exactly uniform index variable
+        n = bump.rho_grid.size
+        lo, hi = np.log(bump.rho_min), np.log(bump.rho_max)
+        rho = np.concatenate([[bump.rho_min, bump.rho_max], bump.rho_grid[1:-1],
+                              np.sqrt(bump.rho_grid[:-1] * bump.rho_grid[1:])])
+        index = (np.log(rho) - lo) / ((hi - lo) / (n - 1))
+        for d in (1, 2, 3):
+            table = bump.hat_tables[d]
+            want = CubicSpline(np.arange(n, dtype=float), table)(index)
+            err = np.max(np.abs(bump.hat(rho, d) - want))
+            assert err <= 1e-15 * np.max(np.abs(table)), (d, err)
+
     def test_rejects_tiny_frequency_range(self):
         with pytest.raises(ValueError, match="rho_max"):
             BumpProfile(rho_max=4.0)
@@ -227,6 +256,14 @@ class TestTimeCutoff:
         t, w = gauss_on(0.0, tc.plateau + tc.ramp, 2048)
         kernel = np.cos(2.0 * np.pi * np.outer(tc.a_grid, t))
         assert np.array_equal(tc.hat_table, 2.0 * (kernel * (tc(t) * w)).sum(axis=1))
+
+    def test_hat_reads_match_scipy_cubic_spline(self):
+        tc = default_cutoff()
+        a = np.concatenate([tc.a_grid, 0.5 * (tc.a_grid[:-1] + tc.a_grid[1:])])
+        index = a / tc.a_grid[1]
+        want = CubicSpline(np.arange(tc.a_grid.size, dtype=float), tc.hat_table)(index)
+        err = np.max(np.abs(tc.hat(a) - want))
+        assert err <= 1e-15 * np.max(np.abs(tc.hat_table))
 
     def test_hat_even_and_compact(self):
         tc = default_cutoff()

@@ -1,4 +1,5 @@
-"""Thread capping: LAB_THREADS must reach the BLAS pools before numpy loads."""
+"""What `import boltzlab` does to a fresh process: LAB_THREADS must reach the
+BLAS pools before numpy loads, and scipy.interpolate stays unloaded."""
 
 import os
 import subprocess
@@ -54,3 +55,8 @@ def test_thread_cap_warns_when_numpy_loaded_first():
     out = _run_capped(_LATE)
     assert "numpy was imported before boltzlab" in out.stdout
     assert "OPENBLAS_NUM_THREADS" in out.stdout
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # its own process: other test modules import scipy.interpolate
+    _run_capped("import boltzlab, sys; sys.exit('scipy.interpolate' in sys.modules)")
