@@ -135,12 +135,12 @@ class BumpProfile:
     r_grid, chi_table : the profile sampled on a uniform grid over [0, 1]
     rho_grid          : logarithmic frequency grid on [rho_min, rho_max]
     hat_tables        : dict dim -> transform values on rho_grid (dim=1,2,3)
-    interp_order      : 3 (not-a-knot cubic spline in log rho between nodes)
     integral_1d/2d/3d : integrals of chi over R^d (chi extended radially)
     l2sq_1d/2d/3d     : squared L^2 masses over R^d
     grad_l2sq_3d      : squared L^2 mass of the radial gradient over R^3
     sup_abs_grad      : max_r |chi'(r)|, attained at r = 3^(-1/4)
     roundtrip_rel_error : sup-norm error of inverse-transforming the 3D table
+                          (a diagnostic, computed on first read)
 
     The transform pairs used (radial profiles, unitary e^{-2 pi i x.eta}):
         dim 1:  2  int chi(r) cos(2 pi rho r) dr
@@ -166,7 +166,6 @@ class BumpProfile:
                  n_rho: int = 4096, quad_nodes: int = 512):
         if rho_max < 16.0:
             raise ValueError("rho_max too small to reach the transform tail")
-        self.interp_order = 3
         self.rho_min = 0.02
         self.rho_max = float(rho_max)
 
@@ -226,8 +225,6 @@ class BumpProfile:
             True: 2.0 * np.pi * _right_cumtrapz(gc**2 * rc, rc),
         }
 
-        self.roundtrip_rel_error = self._roundtrip_error()
-
     # -- evaluation -------------------------------------------------------
 
     def chi(self, r) -> np.ndarray:
@@ -277,9 +274,8 @@ class BumpProfile:
             out[True][i] = 2.0 * float(w @ (g * g))
         return out
 
-    # -- internal ----------------------------------------------------------
-
-    def _roundtrip_error(self) -> float:
+    @cached_property
+    def roundtrip_rel_error(self) -> float:
         """Sup-norm error of the inverse 3D transform of the table vs chi."""
         rho, w = gauss_on(0.0, self.rho_max, 4096)
         hat = self.hat(rho, dim=3)
@@ -367,8 +363,8 @@ class TimeCutoff:
 
     @cached_property
     def hat_table(self) -> np.ndarray:
-        """The transform on a_grid by a 2048-node Gauss rule in t."""
-        t, w = gauss_on(0.0, self.plateau + self.ramp, 2048)
+        """The transform on a_grid by a 256-node Gauss rule in t."""
+        t, w = gauss_on(0.0, self.plateau + self.ramp, 256)
         th = self(t)
         table = np.empty(self.a_grid.size)
         for sl in blocks(self.a_grid.size, t.size):

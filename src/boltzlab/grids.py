@@ -9,8 +9,9 @@ grids starting at the left edge.  The forward Fourier transform carries the
     fhat(eta) = integral f(x) exp(-2*pi*i x.eta) dx,
 
 discretized so that spectral samples equal the continuum transform of the
-periodized field (cell-volume scaling plus the (-1)^k edge phase).  With dual
-spacing  d_eta = 1/(2L)  the weighted Plancherel identity
+periodized field: a `scipy.fft` transform and one pass with the cached
+product of the (-1)^k edge sign and the cell volume (`_edge_sign`).  With
+dual spacing  d_eta = 1/(2L)  the weighted Plancherel identity
 
     sum |fhat|^2 d_eta^3 = sum |f|^2 dx^3
 
@@ -30,6 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 
 DEFAULT_FULL_CAP = 24**6  # max total sample count for in-RAM Full storage
 
@@ -432,33 +434,34 @@ def lattice_read(flat: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _edge_phase(n: int) -> np.ndarray:
-    # grid starts at -L: continuum FT sample = (-1)^k * DFT coefficient
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-    phase = np.where(k % 2 == 0, 1.0, -1.0)
-    phase.flags.writeable = False
-    return phase
+def _edge_sign(shape: tuple[int, ...], axes: tuple[int, ...],
+               scale: float = 1.0) -> np.ndarray:
+    """scale times the product over `axes` of the per-axis signs (-1)^k, k
+    the signed frequency of FFT order, shaped to broadcast over an array of
+    `shape` (length 1 off `axes`); read-only.  A grid that starts at the
+    box's left edge -L has continuum-FT samples (-1)^k times its DFT."""
+    out = np.full((1,) * len(shape), scale)
+    for ax in axes:
+        k = np.fft.fftfreq(shape[ax], d=1.0 / shape[ax])
+        out = out * on_axes(np.where(k % 2 == 0, 1.0, -1.0), (ax,), len(shape))
+    out.flags.writeable = False
+    return out
 
 
-def _apply_axes_phase(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    # one pass with the broadcast product of the per-axis signs (exact)
-    return data * math.prod(on_axes(_edge_phase(data.shape[ax]), (ax,), data.ndim)
-                            for ax in axes)
-
-
-def _ft(data: np.ndarray, axes: Sequence[int], cell: float) -> np.ndarray:
+def _ft(data: np.ndarray, axes: tuple[int, ...], cell: float) -> np.ndarray:
     """Continuum-FT samples over `axes` of data sampled from the box's left
-    edge: the DFT, the (-1)^k edge phase and the cell volume."""
-    out = _apply_axes_phase(np.fft.fftn(data, axes=axes), axes)
-    out *= cell
+    edge: the DFT times the (-1)^k edge sign and the cell volume, one
+    multiply on the transform's own output."""
+    out = sfft.fftn(data, axes=axes)
+    out *= _edge_sign(data.shape, axes, cell)
     return out
 
 
-def _ift(data: np.ndarray, axes: Sequence[int], cell: float) -> np.ndarray:
-    """The inverse of _ft over the same axes and cell."""
-    out = np.fft.ifftn(_apply_axes_phase(data, axes), axes=axes)
-    out *= 1.0 / cell
-    return out
+def _ift(data: np.ndarray, axes: tuple[int, ...], cell: float) -> np.ndarray:
+    """The inverse of _ft over the same axes and cell: one signed, scaled
+    copy of data, transformed in place."""
+    return sfft.ifftn(data * _edge_sign(data.shape, axes, 1.0 / cell),
+                      axes=axes, overwrite_x=True)
 
 
 def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
@@ -514,13 +517,8 @@ def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
 
 def transport_multiplier(grid: GridSpec, t: float) -> list[np.ndarray]:
     """Per-axis-pair factors of exp(-2*pi*i t eta.v) on the (eta, v) grid."""
-    out = []
-    for a in range(3):
-        eta = grid.eta_axis(a)
-        v = grid.v_axis(a)
-        ph = np.exp(-2j * np.pi * t * np.outer(eta, v))
-        out.append(ph)
-    return out
+    return [np.exp(-2j * np.pi * t * np.outer(grid.eta_axis(a), grid.v_axis(a)))
+            for a in range(3)]
 
 
 def free_transport(field: PhaseField, t: float) -> PhaseField:
@@ -533,10 +531,12 @@ def free_transport(field: PhaseField, t: float) -> PhaseField:
         raise ValueError("free_transport expects Physical_xv or Spectral_eta_v input")
     if t == 0.0:
         return field.copy()
-    spec = field.to(FieldTag.Spectral_eta_v)
-    data = spec.data
-    for a, ph in enumerate(transport_multiplier(field.grid, t)):
-        data = data * on_axes(ph, (a, 3 + a), 6)
+    ph = [on_axes(m, (a, 3 + a), 6)
+          for a, m in enumerate(transport_multiplier(field.grid, t))]
+    # one copy (to() returns a Spectral_eta_v field itself), two in place
+    data = field.to(FieldTag.Spectral_eta_v).data * ph[0]
+    data *= ph[1]
+    data *= ph[2]
     out = PhaseField(field.grid, data, FieldTag.Spectral_eta_v)
     return out.to(field.tag)
 
@@ -617,15 +617,12 @@ def _refine_axes(data: np.ndarray, axes: Sequence[int], q: int) -> np.ndarray:
     out = data
     for ax in axes:
         n = out.shape[ax]
-        spec = np.fft.fft(out, axis=ax)
-        pad_shape = list(spec.shape)
-        pad_shape[ax] = n * q
-        padded = np.zeros(pad_shape, dtype=np.complex128)
-        for half in (slice(0, n // 2), slice(-(n // 2), None)):
-            idx = [slice(None)] * out.ndim
-            idx[ax] = half
-            padded[tuple(idx)] = spec[tuple(idx)]
-        out = np.fft.ifft(padded, axis=ax) * q
+        spec = np.moveaxis(sfft.fft(out, axis=ax), ax, 0)
+        padded = np.zeros((n * q,) + spec.shape[1:], dtype=np.complex128)
+        padded[:n // 2] = spec[:n // 2]
+        padded[-(n // 2):] = spec[-(n // 2):]
+        out = np.moveaxis(sfft.ifft(padded, axis=0, overwrite_x=True), 0, ax)
+        out *= q
     return out
 
 

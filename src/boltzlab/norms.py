@@ -19,6 +19,7 @@ import re
 from typing import Union
 
 import numpy as np
+import scipy.fft as sfft
 
 from boltzlab.bump import smoothstep
 from boltzlab.grids import (
@@ -294,8 +295,8 @@ def xsb_norm(traj: Trajectory, s: float, b: float, cutoff_width: float = 0.25) -
     theta = plateau_window(u, cutoff_width)
 
     stack = np.stack([f.to(FieldTag.Spectral_eta_v).data for f in traj.fields])
-    stack *= theta.reshape((-1,) + (1,) * 6)
-    fhat = np.fft.fft(stack, axis=0) * dt
+    stack *= (theta * dt).reshape((-1,) + (1,) * 6)
+    fhat = sfft.fft(stack, axis=0, overwrite_x=True)
     tau = np.fft.fftfreq(nt, d=dt)
 
     etav = eta_dot_v(grid)

@@ -188,6 +188,12 @@ class TestBumpProfile:
     def test_default_is_shared(self):
         assert default_bump() is default_bump()
 
+    def test_roundtrip_error_computed_on_first_read(self):
+        b = BumpProfile()
+        assert "roundtrip_rel_error" not in b.__dict__
+        err = b.roundtrip_rel_error
+        assert b.__dict__["roundtrip_rel_error"] == err
+
     def test_sup_abs_grad_is_the_closed_form_peak(self, bump):
         assert bump.sup_abs_grad == abs(float(chi_prime(3.0 ** -0.25)))
         r = np.linspace(0.0, 1.0, 10**6)
@@ -253,9 +259,16 @@ class TestTimeCutoff:
 
     def test_row_blocks_leave_table_unchanged(self):
         tc = default_cutoff()
-        t, w = gauss_on(0.0, tc.plateau + tc.ramp, 2048)
+        t, w = gauss_on(0.0, tc.plateau + tc.ramp, 256)
         kernel = np.cos(2.0 * np.pi * np.outer(tc.a_grid, t))
         assert np.array_equal(tc.hat_table, 2.0 * (kernel * (tc(t) * w)).sum(axis=1))
+
+    def test_default_rule_has_converged(self):
+        tc = default_cutoff()
+        t, w = gauss_on(0.0, tc.plateau + tc.ramp, 2048)
+        kernel = np.cos(2.0 * np.pi * np.outer(tc.a_grid, t))
+        fine = 2.0 * (kernel * (tc(t) * w)).sum(axis=1)
+        assert np.max(np.abs(tc.hat_table - fine)) < 1e-14
 
     def test_hat_reads_match_scipy_cubic_spline(self):
         tc = default_cutoff()

@@ -1,6 +1,7 @@
 """Spectral core: transforms, Plancherel, free transport, rescaling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from boltzlab import (
     PhaseField,
     ScalingTransform,
     Storage,
+    Trajectory,
     VSlicedField,
     free_transport,
     gaussian_oracle,
@@ -20,6 +22,7 @@ from boltzlab import (
 from boltzlab import grids
 from boltzlab.grids import (axis_sum, blocks, eta_dot_v, lattice_read,
                             lattice_stencil, on_axes, uniform_read)
+from boltzlab.norms import xsb_norm
 
 
 def small_grid():
@@ -215,6 +218,19 @@ class TestTransforms:
         off[0, 0, 0] = 0
         assert np.max(np.abs(off)) < 1e-9
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_ft_is_the_sum_from_the_left_edge(self, n):
+        # the (-1)^k edge sign follows the signed frequency k, so it also
+        # holds at odd lengths
+        L, cell = 1.5, 3.0 / n
+        x = -L + cell * np.arange(n)
+        eta = np.fft.fftfreq(n, d=cell)
+        data = np.random.default_rng(n).standard_normal((2, n, 3))
+        want = np.einsum("kj,ijb->ikb", np.exp(-2j * np.pi * np.outer(eta, x)), data) * cell
+        got = grids._ft(data, (1,), cell)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(grids._ift(got, (1,), cell) - data)) < 1e-14
+
     def test_redundant_transform_rejected(self):
         f = random_field(small_grid())
         fx = transform(f, "x", "forward")
@@ -272,6 +288,48 @@ class TestTransforms:
         assert ft.tag is FieldTag.Spectral_x_xi
         rel = np.max(np.abs(ft.data - pred)) / np.max(np.abs(pred))
         assert rel < 5e-8
+
+
+class TestTransformBuffers:
+    """The transforms scale and transform buffers in place, never the input."""
+
+    def test_inputs_stay_bit_identical(self):
+        g = small_grid()
+        f = random_field(g, seed=21)
+        fields = [f, f.to(FieldTag.Spectral_eta_v), f.to(FieldTag.Spectral_x_xi)]
+        kept = [h.data.copy() for h in fields]
+        transform(fields[0], "x", "forward")
+        transform(fields[0], "v", "forward")
+        transform(fields[1], "x", "inverse")
+        transform(fields[2], "v", "inverse")
+        list(grids.x_derivatives(fields[0].data, g))
+        free_transport(fields[1], 0.3)
+        for h, want in zip(fields, kept):
+            assert np.array_equal(h.data, want)
+
+        times = np.linspace(0.0, 1.0, 16)
+        snaps = tuple(random_field(g, seed=k).to(tag) for k, tag in enumerate(
+            [FieldTag.Physical_xv, FieldTag.Spectral_eta_v] * 8))
+        kept = [h.data.copy() for h in snaps]
+        xsb_norm(Trajectory(times, snaps), 0.5, 0.6)
+        for h, want in zip(snaps, kept):
+            assert np.array_equal(h.data, want)
+
+    @pytest.mark.parametrize("axes, tag", [
+        ("x", FieldTag.Physical_xv), ("x", FieldTag.Spectral_eta_v),
+        ("v", FieldTag.Physical_xv), ("v", FieldTag.Spectral_x_xi)])
+    def test_traced_peak_near_one_field(self, axes, tag):
+        # one transform output plus the finiteness scan of the new field
+        g = GridSpec((16, 16, 16), (8, 8, 8), Lx=4.0, Lv=4.0)
+        f = random_field(g, seed=23).to(tag)
+        direction = "forward" if tag is FieldTag.Physical_xv else "inverse"
+        tracemalloc.start()
+        try:
+            transform(f, axes, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * f.data.nbytes
 
 
 class TestXDerivatives:
