@@ -42,9 +42,9 @@ from scipy.spatial import cKDTree
 
 from .bump import chi, default_bump, gauss_on
 from .collision import fibonacci_sphere, gain_term_spectral
-from .grids import (FieldTag, GridSpec, PhaseField, Storage, _ft, axis_sum,
-                    blocks, lattice_read, lattice_stencil, uniform_read,
-                    x_derivatives)
+from .grids import (FieldTag, GridSpec, PhaseField, Storage, _ft, _max_abs,
+                    axis_sum, blocks, lattice_read, lattice_stencil,
+                    uniform_read, x_derivatives)
 
 __all__ = [
     "AnsatzParams",
@@ -640,8 +640,10 @@ def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of the cavity field: the outer product of its parts."""
     sheet, vfac = _cavity_parts(p, t, grid, beta)
-    return PhaseField(replace(grid, storage=Storage.Full),
-                      np.multiply.outer(sheet.astype(np.complex128), vfac))
+    data = np.multiply.outer(sheet.astype(np.complex128), vfac)
+    return PhaseField._derived(replace(grid, storage=Storage.Full), data,
+                               FieldTag.Physical_xv,
+                               _max_abs(sheet) * _max_abs(vfac))
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
@@ -679,8 +681,10 @@ def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
     sheet, vfac = _cavity_parts(p, t, grid, beta)
     grad = np.stack([d.reshape(-1) for d in x_derivatives(sheet, grid)], axis=1)
     grid = replace(grid, storage=Storage.Full)
-    out = grad @ (grid.v_points().T * vfac.reshape(-1))
-    return PhaseField(grid, out.reshape(grid.shape))
+    vmat = grid.v_points().T * vfac.reshape(-1)
+    return PhaseField._derived(grid, (grad @ vmat).reshape(grid.shape),
+                               FieldTag.Physical_xv,
+                               3 * _max_abs(grad) * _max_abs(vmat))
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -702,25 +706,29 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
 
     fr = f_r_to_grid(p, t, grid, beta=beta)
     fb = f_b_to_grid(p, t, grid)
-    fa = fr + fb
+    # max-abs bounds of the checked parts let the sum and the loss products
+    # skip their finiteness scans when the bounds prove them finite
+    mr, mb = _max_abs(fr.data), _max_abs(fb.data)
+    fa = PhaseField._derived(fr.grid, fr.data + fb.data, FieldTag.Physical_xv,
+                             mr + mb)
 
     X = grid.x_points()
     loss_r = FOUR_PI * rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
     loss_b = FOUR_PI * rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
 
+    def loss(h, m, rho):
+        return PhaseField._derived(grid, h.data * rho, FieldTag.Physical_xv,
+                                   m * _max_abs(rho))
+
     gain = gain_term_spectral(fa, fa, cfg)  # a fresh field: negate in place
     np.negative(gain.data, out=gain.data)
-    terms = [
+    return [
         ("transport_cavity", transport_term(p, t, grid, beta=beta)),
-        ("loss_tubes_cavity",
-         PhaseField(grid, fb.data * loss_r, FieldTag.Physical_xv)),
-        ("loss_cavity_cavity",
-         PhaseField(grid, fr.data * loss_r, FieldTag.Physical_xv)),
-        ("loss_tubes_tubes",
-         PhaseField(grid, fb.data * loss_b, FieldTag.Physical_xv)),
+        ("loss_tubes_cavity", loss(fb, mb, loss_r)),
+        ("loss_cavity_cavity", loss(fr, mr, loss_r)),
+        ("loss_tubes_tubes", loss(fb, mb, loss_b)),
         ("gain_full", gain),
     ]
-    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,18 @@ is computed in the spectral representation
 (fv, gv the forward v-transforms) by sphere quadrature over deflection
 directions w, with the off-grid evaluation points read either trilinearly
 on a 2x zero-padded spectral lattice (default) or by exact trigonometric
-sums (oracle runs).  The trilinear reads are cached operators: per node q,
-one real CSR pair (S+_q, S-_q) of shape (Nv, prod(2*nv)), so that
+sums (oracle runs).  f and g must be real, so Qhat+ is Hermitian: only the
+half lattice k3 <= n3/2 is read, and one irfftn inverts it.  The trilinear
+reads are cached operators (`_gain_operators`): per node q, one real CSR
+pair (S+_q, S-_q), so that
 
-    Qhat+ = sum_q (S+_q F) (S-_q G),   F, G the raw padded DFTs,
+    Qhat+ = sum_q (S+_q [F; conj F]) (S-_q [G; conj G]),
 
-followed by the inverse transform.  F is a pruned in-place transform of
-one zeroed padded buffer; when g is f it is taken once.  x rows (8 Nv
-complex entries each) and trigonometric read points run in `grids.blocks`.
-The operator weights fold in the node weight and cell_v**2 (+ side), the
-dealias ball at the read point and the (-1)^k edge sign of each column;
-the columns fold in the fftshift of the padded lattice and the ball on it,
-so the spectrum is read straight from the FFT.  The operators are keyed on
-(grid, nodes, weights, ball radius), and the four latest sets stay cached,
-so a time loop builds them once.  A direct physical-space quadrature —
-for each output velocity, f and g read at the outgoing pair of every
-collision partner on the lattice — serves as a brute-force cross-check on
-small v-grids.  Both trilinear paths read through the one zero-extended
+F, G the raw rfft halves of the padded lattice (one pruned transform per x
+block, taken once when g is f).  x rows and trigonometric read points run
+in `grids.blocks`.  A direct physical-space quadrature — for each output
+velocity, f and g read at the outgoing pair of every collision partner on
+the lattice — serves as a brute-force cross-check on small v-grids.  Both trilinear paths read through the one zero-extended
 multilinear stencil `grids.lattice_stencil`.  Input supports are confined
 to the ball of radius (1 - dealias_margin) * Nyquist so that no
 evaluation wraps around.
@@ -34,11 +29,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy import sparse
 
 from .grids import (
@@ -49,15 +44,13 @@ from .grids import (
     VSlicedField,
     _edge_sign,
     _ft,
-    _ift,
+    _max_abs,
     axis_sum,
     blocks,
     lattice_read,
     lattice_stencil,
     on_axes,
 )
-
-logger = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -151,15 +144,15 @@ class CollisionConfig:
     (cheap; grids.lattice_stencil reads, zero-extended, of the padded
     spectral lattice for the spectral gain and of the physical v-lattice
     for the direct one) or Trig (exact trigonometric sums, oracle-grade).
-    dealias_margin is the fraction of the spectral radius zeroed before the
-    gain quadrature; reads outside that ball weigh zero.  With the default
-    margin no in-ball read reaches the last padded cell.  The Trilinear
-    spectral gain caches its read operators per (grid, quadrature nodes and
-    weights, ball radius), holding the four latest; the node weights, the
-    cell_v**2 of the two forward transforms, the ball, the (-1)^k edge
-    sign and the padded lattice's fftshift are folded into them, so they
-    read the raw padded DFT.  x rows and Trig points run in `grids.blocks`
-    (8 Nv complex entries per row).  direct_cap guards the oracle's cost.
+    dealias_margin m is the fraction of the spectral radius zeroed before
+    the gain quadrature; reads outside that ball weigh zero, so any m > 0
+    keeps them off the padded Nyquist cell.  For m >= 1 - 1/sqrt(2) (about
+    0.293; the default 1/3) one of xi+- leaves the ball wherever |xi| >=
+    Nyquist, so the gain spectrum vanishes on the output Nyquist planes and
+    the half-lattice irfftn equals the real part of the full inverse to
+    rounding.  Below that those planes are read once, at -Nyquist: for
+    smooth blobs on 8^3 v-grids the output moves by 0.8-2.5e-4 (m = 0) and
+    3-9e-6 (m = 0.25) of its maximum.  direct_cap guards the oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -231,33 +224,41 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
 
 
 def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Raw DFT of (c, nv) physical data zero-padded to the doubled box
-    [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)), in FFT
-    order with the chunk axis last: the contiguous (prod(2*nv), c) lattice
-    that the gain operators read.  Edge phase and cell volume are left to
-    the operators.  The block is written once into the centre of one zeroed
-    (2n1, 2n2, 2n3, c) buffer, which is transformed in place one axis at a
-    time (2, 1, 0), each 1-D FFT only over the slabs that are not all zeros.
-    The package's one numpy transform, since its `out=` writes each pass
-    into the slab.  On one thread of a 2-CPU x86 host a 32-row block of a
-    16^3 x 8^3 grid takes 1.0-1.1 ms this way, 3.2-3.3 ms with scipy passes
-    copied back and 1.7 ms with one unpruned scipy fftn of the buffer."""
-    c = chunk.shape[0]
+    """Raw DFT of the real part of (c, nv) physical data zero-padded to the
+    doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)):
+    its rfft half k3 <= n3 in FFT order, chunk axis last, shape (2n1, 2n2,
+    n3 + 1, c).  Edge phase and cell volume are left to the operators.  An
+    rfft of the zero-padded core rows writes into one zeroed buffer, which
+    axes 1 and 0 transform in place, each 1-D FFT only over the slabs that
+    are not all zeros: numpy, since its `out=` writes each pass into the
+    slab (scipy passes copied back cost 3x on 8^3 blocks)."""
+    n1, n2, n3 = grid.nv
     core = tuple(slice(n // 2, n // 2 + n) for n in grid.nv)
-    spec = np.zeros(tuple(2 * n for n in grid.nv) + (c,), dtype=np.complex128)
-    spec[core] = np.moveaxis(chunk, 0, -1)
-    for a in (2, 1, 0):
+    real = np.zeros((n1, n2, 2 * n3, chunk.shape[0]))
+    real[:, :, core[2]] = np.moveaxis(chunk.real, 0, -1)
+    spec = np.zeros((2 * n1, 2 * n2, n3 + 1, chunk.shape[0]), dtype=np.complex128)
+    np.fft.rfft(real, axis=2, out=spec[core[:2]])
+    for a in (1, 0):
         slab = spec[core[:a]]
         np.fft.fft(slab, axis=a, out=slab)
-    return spec.reshape(-1, c)
+    return spec
+
+
+def _conj_stack(F: np.ndarray) -> np.ndarray:
+    """The float64 view of [F; conj F], F as (Ph, c): what the operators read."""
+    out = np.empty((2,) + F.shape, dtype=np.complex128)
+    out[0] = F
+    np.conjugate(F, out=out[1])
+    return out.reshape(-1, F.shape[-1]).view(np.float64)
 
 
 def _node_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
     """Per quadrature node w, (w_q, (xi+, in+), (xi-, in-)): the read points
-    xi+ = xi - (xi.w)w and xi- = (xi.w)w of every lattice xi (FFT order),
-    each with its mask of the dealias ball of the given radius."""
-    mesh = np.meshgrid(*(grid.xi_axis(a) for a in range(3)), indexing="ij")
-    xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (Nv, 3), FFT order
+    xi+ = xi - (xi.w)w and xi- = (xi.w)w of every xi (FFT order) of the half
+    lattice k3 <= n3/2, each with its mask of the dealias ball."""
+    xi3 = grid.xi_axis(2)[:grid.nv[2] // 2 + 1]
+    mesh = np.meshgrid(grid.xi_axis(0), grid.xi_axis(1), xi3, indexing="ij")
+    xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (n1 n2 (n3/2 + 1), 3)
     for w_q, omega in zip(quad.weights, quad.nodes):
         xim = (xi @ omega)[:, None] * omega[None, :]
         yield w_q, *((pts, np.sum(pts**2, axis=1) <= radius**2)
@@ -282,68 +283,64 @@ def _read_operator(idx: np.ndarray, w: np.ndarray,
 def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
                     radius: float) -> tuple[tuple[sparse.csr_array, ...], ...]:
     """Per quadrature node q, the real CSR pair (S+_q, S-_q) of shape
-    (Nv, prod(2*nv)) whose products with the padded spectrum give the
-    multilinear reads at xi+ = xi - (xi.w)w and xi- = (xi.w)w for every xi
-    of the lattice (FFT order).
+    (n1 n2 (n3/2 + 1), 2 Ph) whose products with the float64 view of the
+    stacked [F; conj F] (F the Ph-point rfft half of `_padded_spectrum`)
+    give the multilinear reads at xi+ = xi - (xi.w)w and xi- = (xi.w)w for
+    every xi of the half lattice k3 <= n3/2 (FFT order).
 
-    The operators act on the raw padded DFT of `_padded_spectrum`.  The
-    weights fold in the node weight w_q and cell_v**2 (+ side only), the
-    dealias ball at the read point and the (-1)^k edge sign of each
-    corner's column; the columns fold in the fftshift that centres the
-    padded lattice and the ball on it.  So (S+ F)(S- G) equals the product
-    of the reads of the shifted, ball-masked continuum spectra, and a time
-    loop pays the build once per (grid, nodes, weights, radius); the four
-    latest sets stay cached."""
+    The weights fold in the node weight w_q and cell_v**2 (+ side only), the
+    dealias ball at the read point and the (-1)^k edge sign of each corner;
+    the columns fold in the fftshift that centres the padded lattice, and a
+    corner with -n3 < k3 < 0 reads conj F(-k), column Ph + index(-k mod 2n).
+    So (S+ F)(S- G) equals the product of the reads of the shifted,
+    ball-masked continuum spectra, and a time loop pays the build once per
+    (grid, nodes, weights, radius); the four latest sets stay cached."""
     quad = SphereQuadrature(np.frombuffer(nodes).reshape(-1, 3),
                             np.frombuffer(weights))
     nv = grid.nv
     pshape = tuple(2 * n for n in nv)
+    half = pshape[:2] + (nv[2] + 1,)
     step = 1.0 / (4.0 * grid.Lv)
     origin = -np.array(nv) * step
-    # shifted lattice index -> column of the FFT-order padded spectrum
-    column = np.fft.fftshift(np.arange(math.prod(pshape)).reshape(pshape)).ravel()
-    sign = _edge_sign(pshape, (0, 1, 2)).ravel()
+    # centred lattice index -> column of the stacked rfft half [F; conj F]
+    k = np.meshgrid(*(np.arange(2 * n) - n for n in nv), indexing="ij")
+    conj = (k[2] < 0) & (k[2] > -nv[2])
+    column = (np.ravel_multi_index(tuple(np.where(conj, -k[a], k[a]) % pshape[a]
+                                         for a in range(3)), half)
+              + conj * math.prod(half)).ravel()
+    sign = np.fft.fftshift(_edge_sign(pshape, (0, 1, 2))).ravel()
     r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * step) ** 2)
     ball = (r2 <= radius**2).ravel()
-    ops = []
-    for w_q, plus, minus in _node_reads(grid, quad, radius):
-        pair = []
-        for scale, (pts, inside) in ((w_q * grid.cell_v**2, plus), (1.0, minus)):
-            idx, w = lattice_stencil(pts, origin, step, pshape)
-            col = column[idx]
-            w = w * (ball[idx] & inside) * sign[col] * scale
-            pair.append(_read_operator(col, w, column.size))
-        ops.append(tuple(pair))
-    return tuple(ops)
 
+    def read(pts, inside, scale):
+        idx, w = lattice_stencil(pts, origin, step, pshape)
+        w = w * (ball[idx] & inside) * sign[idx] * scale
+        return _read_operator(column[idx], w, 2 * math.prod(half))
 
-def _tensor_trig_eval(data: np.ndarray, axes: list[np.ndarray],
-                      points: np.ndarray, sign: float) -> np.ndarray:
-    """sum_k data[..., k1,k2,k3] exp(sign * 2 pi i p.(a1[k1],a2[k2],a3[k3]))
-    at arbitrary points p, with the exponential factored over the product
-    lattice (three small phase matrices per block instead of one huge one).
-    Points run in `grids.blocks`, each one complex (c, n1, n2) slab.
-
-    data: (c, n1, n2, n3); returns (c, npts)."""
-    c, n1, n2, n3 = data.shape
-    out = np.empty((c, points.shape[0]), dtype=np.complex128)
-    flat12 = data.reshape(c * n1 * n2, n3)
-    phase = sign * 2j * np.pi
-    for sl in blocks(points.shape[0], 2 * c * n1 * n2):
-        E1, E2, E3 = (np.exp(phase * np.outer(points[sl, a], axes[a]))
-                      for a in range(3))
-        T1 = (flat12 @ E3.T).reshape(c, n1, n2, sl.stop - sl.start)
-        T2 = np.einsum("xijb,bj->xib", T1, E2)
-        out[:, sl] = np.einsum("xib,bi->xb", T2, E1)
-    return out
+    return tuple((read(*plus, w_q * grid.cell_v**2), read(*minus, 1.0))
+                 for w_q, plus, minus in _node_reads(grid, quad, radius))
 
 
 def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
                inside: np.ndarray, sign: float, cell: float) -> np.ndarray:
-    """cell times the `_tensor_trig_eval` sums of (c, n1, n2, n3) data at the
-    points where `inside` holds, and zero at the others: (c, npts)."""
-    out = np.zeros((data.shape[0], points.shape[0]), dtype=np.complex128)
-    out[:, inside] = _tensor_trig_eval(data, axes, points[inside], sign) * cell
+    """cell * sum_k data[..., k1,k2,k3] exp(sign 2 pi i p.(a1[k1],a2[k2],a3[k3]))
+    at the points p where `inside` holds, zero at the others: (c, npts) for
+    (c, n1, n2, n3) data.  The exponential is factored over the product
+    lattice (three small phase matrices per block instead of one huge one);
+    points run in `grids.blocks`, each one complex (c, n1, n2) slab."""
+    c, n1, n2, n3 = data.shape
+    pts = points[inside]
+    sums = np.empty((c, pts.shape[0]), dtype=np.complex128)
+    flat12 = data.reshape(c * n1 * n2, n3)
+    phase = sign * 2j * np.pi
+    for sl in blocks(pts.shape[0], 2 * c * n1 * n2):
+        E1, E2, E3 = (np.exp(phase * np.outer(pts[sl, a], axes[a]))
+                      for a in range(3))
+        T1 = (flat12 @ E3.T).reshape(c, n1, n2, sl.stop - sl.start)
+        T2 = np.einsum("xijb,bj->xib", T1, E2)
+        sums[:, sl] = np.einsum("xib,bi->xb", T2, E1)
+    out = np.zeros((c, points.shape[0]), dtype=np.complex128)
+    out[:, inside] = sums * cell
     return out
 
 
@@ -356,17 +353,22 @@ def _require_full_physical(f, name: str) -> None:
 
 def gain_term_spectral(f: PhaseField, g: PhaseField,
                        cfg: CollisionConfig) -> PhaseField:
-    """Q+(f,g) via the spectral sphere-quadrature form; returns the real part
-    (the imaginary residue of the inverse transform is logged)."""
+    """Q+(f,g) of real f and g via the spectral sphere-quadrature form: the
+    half spectrum k3 <= n3/2 and one irfftn, so the output is real.  Raises
+    ValueError if f or g has a nonzero imaginary part."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
-    _require_full_physical(f, "gain")
-    _require_full_physical(g, "gain")
+    same = g is f or g.data is f.data
+    for h in (f,) if same else (f, g):
+        _require_full_physical(h, "gain")
+        if np.count_nonzero(h.data.imag):
+            raise ValueError("the spectral gain takes real fields only")
     grid = f.grid
     quad = cfg.quadrature
     radius = _dealias_radius(grid, cfg.dealias_margin)
     nvtot = math.prod(grid.nv)
     nxtot = math.prod(grid.nx)
+    half = grid.nv[:2] + (grid.nv[2] // 2 + 1,)
     trilinear = cfg.interpolation is Interpolation.Trilinear
 
     if trilinear:
@@ -378,39 +380,41 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         vaxes = [grid.v_axis(a) for a in range(3)]
         reads = list(_node_reads(grid, quad, radius))
 
-    fd = f.data.reshape((nxtot,) + grid.nv)
-    gd = g.data.reshape((nxtot,) + grid.nv)
-    same = g is f or g.data is f.data
+    fd, gd = (h.data.real.reshape((nxtot,) + grid.nv) for h in (f, g))
+    # the inverse's edge sign and 1/cell on the half lattice
+    inv_sign = _edge_sign((1,) + grid.nv, (1, 2, 3),
+                          1.0 / grid.cell_v)[..., :half[2]]
     out = np.empty((nxtot, nvtot), dtype=np.complex128)
 
-    # one padded row holds 8 Nv complex entries: 16 Nv float64
+    # one stacked padded half row holds about 8 Nv complex entries
     for sl in blocks(nxtot, 16 * nvtot):
         rows = sl.stop - sl.start
         if trilinear:
-            # the real operators act on the float64 view of the complex
-            # spectrum: 2c real columns, no complex copy of the matrices
-            Fl = _padded_spectrum(fd[sl], grid).view(np.float64)
-            Gl = Fl if same else _padded_spectrum(gd[sl], grid).view(np.float64)
-            acc = np.zeros((nvtot, rows), dtype=np.complex128)
+            # the real operators act on the float64 view of [F; conj F]:
+            # 2c real columns, no complex copy of the matrices
+            Fl = _conj_stack(_padded_spectrum(fd[sl], grid))
+            Gl = Fl if same else _conj_stack(_padded_spectrum(gd[sl], grid))
+            acc = np.zeros((math.prod(half), rows), dtype=np.complex128)
             for sp, sm in ops:
                 acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
             acc = acc.T
         else:
-            acc = np.zeros((rows, nvtot), dtype=np.complex128)
+            acc = np.zeros((rows, math.prod(half)), dtype=np.complex128)
             for w_q, (xip, inp), (xim, inm) in reads:
                 acc += (w_q * _trig_read(fd[sl], vaxes, xip, inp, -1.0, grid.cell_v)
                         * _trig_read(gd[sl], vaxes, xim, inm, -1.0, grid.cell_v))
-        out[sl] = _ift(acc.reshape((rows,) + grid.nv), (1, 2, 3),
-                       grid.cell_v).reshape(rows, nvtot)
+        out[sl] = sfft.irfftn(acc.reshape((rows,) + half) * inv_sign, s=grid.nv,
+                              axes=(1, 2, 3), overwrite_x=True).reshape(rows, nvtot)
 
-    out = out.reshape(grid.shape)
-    scale = np.max(np.abs(out))
-    if scale > 0:
-        resid = float(np.max(np.abs(out.imag)) / scale)
-        if resid > 1e-8:
-            logger.debug("gain_term_spectral: imaginary residue %.3e", resid)
-    out.imag[...] = 0.0
-    return PhaseField(grid, out, FieldTag.Physical_xv)
+    # each intermediate is at most the product of these factors taken at
+    # least 1: |F| <= Nv max|f| (cell_v more for Trig), the node sum <= sum(w)
+    # cell_v**2 Nv**2 max|f| max|g|, the inverse's raw sums Nv / cell_v times it
+    mf = _max_abs(f.data)
+    bound = math.prod(max(v, 1.0) for v in (
+        mf, mf if same else _max_abs(g.data), float(np.sum(quad.weights)),
+        nvtot**3, grid.cell_v**2, 1.0 / grid.cell_v))
+    return PhaseField._derived(grid, out.reshape(grid.shape),
+                               FieldTag.Physical_xv, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +449,7 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
     V = grid.v_points()  # (Nv, 3)
     nvtot = V.shape[0]
     nxtot = int(np.prod(grid.nx))
-    fd = f.data.reshape(nxtot, nvtot)
-    gd = g.data.reshape(nxtot, nvtot)
+    fd, gd = (h.data.reshape(nxtot, nvtot) for h in (f, g))
     trig = cfg.interpolation is Interpolation.Trig
     if trig:
         xiaxes = [grid.xi_axis(a) for a in range(3)]

@@ -178,6 +178,19 @@ class GridSpec:
         return np.stack([c.ravel() for c in X], axis=-1)
 
 
+#: a computed field whose max-abs bound lies below this holds no overflowed
+#: sample: float64 reaches 1.8e308, so rounding has eight decades of room
+_FINITE_BOUND = 1e300
+
+
+def _max_abs(data: np.ndarray) -> float:
+    """max |data| of real data, and a bound within sqrt(2) of it for complex
+    data, by two reductions that allocate nothing; NaN if data holds one."""
+    if np.iscomplexobj(data):
+        return math.sqrt(2.0) * _max_abs(data.view(np.float64))
+    return float(np.maximum(np.max(data), -np.min(data)))
+
+
 @dataclass
 class PhaseField:
     """Complex samples over the 6D grid, indexed (x triple, v triple)."""
@@ -187,12 +200,27 @@ class PhaseField:
     tag: FieldTag = FieldTag.Physical_xv
 
     def __post_init__(self):
+        self._check(scan=True)
+
+    @classmethod
+    def _derived(cls, grid: GridSpec, data: np.ndarray, tag: FieldTag,
+                 bound: float) -> "PhaseField":
+        """A field computed from checked fields, with `bound` a bound of
+        max |data| and of every intermediate, derived from theirs.  The
+        public constructor's checks, but the finiteness scan runs only when
+        the bound does not prove every sample finite (a NaN bound included)."""
+        out = cls.__new__(cls)
+        out.grid, out.data, out.tag = grid, data, tag
+        out._check(scan=not bound < _FINITE_BOUND)
+        return out
+
+    def _check(self, scan: bool) -> None:
         if self.grid.storage is not Storage.Full:
             raise ValueError("PhaseField requires Full storage (see VSlicedField)")
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
         if self.data.shape != self.grid.shape:
             raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(self.data.view(np.float64))):
+        if scan and not np.all(np.isfinite(self.data.view(np.float64))):
             raise ValueError("field contains non-finite samples")
 
     def copy(self) -> "PhaseField":
@@ -457,10 +485,12 @@ def _ft(data: np.ndarray, axes: tuple[int, ...], cell: float) -> np.ndarray:
     return out
 
 
-def _ift(data: np.ndarray, axes: tuple[int, ...], cell: float) -> np.ndarray:
-    """The inverse of _ft over the same axes and cell: one signed, scaled
-    copy of data, transformed in place."""
-    return sfft.ifftn(data * _edge_sign(data.shape, axes, 1.0 / cell),
+def _ift(data: np.ndarray, axes: tuple[int, ...], cell: float,
+         symbol=1.0) -> np.ndarray:
+    """The inverse of _ft over the same axes and cell of data times a
+    broadcast spectral symbol: one signed, scaled copy of data (the symbol
+    folded into the small sign array), transformed in place."""
+    return sfft.ifftn(data * (_edge_sign(data.shape, axes, 1.0 / cell) * symbol),
                       axes=axes, overwrite_x=True)
 
 
@@ -499,7 +529,8 @@ def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
 def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
     """Spectral d/dx_a, a = 0, 1, 2, of samples on the x axes of `grid`
     (axes 0-2 of data; trailing axes broadcast): one forward transform, then
-    the symbol 2 pi i eta_a and one inverse transform per axis.  Each axis's
+    per axis one inverse whose signed copy carries the symbol 2 pi i eta_a
+    (the caller holding one output, 3x the input at peak).  Each axis's
     Nyquist frequency gets symbol 0, the usual rule for odd-order spectral
     derivatives: its sample stands for both +eta and -eta, whose symbols
     cancel, so a real field keeps a real gradient."""
@@ -507,8 +538,8 @@ def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
     for a in range(3):
         eta = grid.eta_axis(a)
         eta[grid.nx[a] // 2] = 0.0  # the Nyquist entry (eta = 0 when n = 1)
-        yield _ift(spec * on_axes(2j * np.pi * eta, (a,), data.ndim), (0, 1, 2),
-                   grid.cell_x)
+        yield _ift(spec, (0, 1, 2), grid.cell_x,
+                   on_axes(2j * np.pi * eta, (a,), data.ndim))
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,12 @@ def x_varying(f, rng):
     return PhaseField(f.grid, f.data * amp, FieldTag.Physical_xv)
 
 
-def reference_gain(f, g, cfg):
-    """The trilinear spectral gain as sum_q w_q (read of F at xi+) (read of
-    G at xi-): F, G the padded spectra as explicit sums on the centred
-    (shifted) lattice with the dealias ball applied, each read a
-    lattice_stencil with the ball at the read point, and the inverse
-    transform as an explicit sum."""
+def reference_spectrum(f, g, cfg):
+    """The trilinear spectral gain's spectrum on the whole output lattice
+    (FFT order), shape (Nx, Nv): sum_q w_q (read of F at xi+) (read of G at
+    xi-), F, G the padded spectra as explicit sums on the centred (shifted)
+    lattice with the dealias ball applied, each read a lattice_stencil with
+    the ball at the read point."""
     grid = f.grid
     nv = grid.nv
     step = 1.0 / (4.0 * grid.Lv)
@@ -95,11 +95,25 @@ def reference_gain(f, g, cfg):
             w = w * (np.sum(pts**2, axis=1) <= radius**2)
             vals.append(lattice_read(spec, (idx, w)))
         acc += w_q * vals[0] * vals[1]
+    return acc
+
+
+def reference_inverse(acc, grid):
+    """The real part of the inverse v-transform of (Nx, Nv) spectra in FFT
+    order, as an explicit sum; shape grid.shape."""
+    xi_axes = [grid.xi_axis(a) for a in range(3)]
     inv = [np.exp(2j * np.pi * np.outer(grid.v_axis(a), xi_axes[a]))
            for a in range(3)]
     out = grid.cell_xi * np.einsum("xpqr,ip,jq,kr->xijk",
-                                   acc.reshape((-1,) + nv), *inv, optimize=True)
+                                   acc.reshape((-1,) + grid.nv), *inv,
+                                   optimize=True)
     return out.real.reshape(grid.shape)
+
+
+def reference_gain(f, g, cfg):
+    """The trilinear spectral gain: the real part of the explicit inverse of
+    `reference_spectrum`."""
+    return reference_inverse(reference_spectrum(f, g, cfg), f.grid)
 
 
 def rel_l2(a, b):
@@ -319,6 +333,29 @@ class TestSpectralGain:
         gain = gain_term_spectral(f, f, CollisionConfig())
         assert np.all(gain.data.imag == 0)
 
+    @pytest.mark.parametrize("interp", [Interpolation.Trilinear,
+                                        Interpolation.Trig])
+    def test_rejects_nonzero_imaginary_part(self, interp):
+        # the half lattice would read a complex field half-wrong
+        grid = oracle_grid()
+        f = smooth_blob(grid, np.random.default_rng(21))
+        g = PhaseField(grid, f.data * (1.0 + 1e-12j), FieldTag.Physical_xv)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4),
+                              interpolation=interp)
+        for args in ((f, g), (g, f), (g, g)):
+            with pytest.raises(ValueError, match="real fields"):
+                gain_term_spectral(*args, cfg)
+
+    def test_overflowing_gain_still_raises(self):
+        # finite inputs whose gain overflows: the max-abs bound proves
+        # nothing, so the output is scanned
+        grid = oracle_grid()
+        f = smooth_blob(grid, np.random.default_rng(22))
+        huge = PhaseField(grid, 1e160 * f.data, FieldTag.Physical_xv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                gain_term_spectral(huge, huge, CollisionConfig())
+
     def test_trilinear_reads_match_regular_grid_interpolator(self):
         # the same sphere quadrature with every off-lattice read done by
         # scipy's linear interpolator on the padded, ball-projected spectrum
@@ -378,6 +415,49 @@ class TestGainOperators:
         got = gain_term_spectral(f, g, cfg).data.real
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("nv, margin", [((8, 4, 2), 0.30),
+                                            ((4, 8, 1), 1.0 / 3.0),
+                                            ((1, 4, 8), 0.30)])
+    def test_matches_reference_gain_on_unequal_grids(self, nv, margin):
+        # unequal axes, a one-point (odd) axis and a margin just above
+        # 1 - 1/sqrt(2), where the output Nyquist planes still vanish
+        grid = GridSpec((2, 1, 1), nv, Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(50)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        g = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8),
+                              dealias_margin=margin)
+        want = reference_gain(f, g, cfg)
+        got = gain_term_spectral(f, g, cfg).data.real
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("margin, lo, hi", [(0.0, 5e-5, 1e-3),
+                                                (0.25, 5e-7, 5e-5),
+                                                (0.30, 0.0, 1e-13)])
+    def test_margin_below_threshold_inverts_the_half_rows(self, margin, lo, hi):
+        # below m = 1 - 1/sqrt(2) the spectrum is not Hermitian on the output
+        # Nyquist planes: the gain is the Hermitian extension of its rows
+        # k3 <= n3/2 (irfftn), which moves it off the real part of the full
+        # inverse by the documented amount; above the threshold not at all
+        grid = oracle_grid()
+        rng = np.random.default_rng(51)
+        f = smooth_blob(grid, rng)
+        g = smooth_blob(grid, rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16),
+                              dealias_margin=margin)
+        acc = reference_spectrum(f, g, cfg).reshape((-1,) + grid.nv)
+        n3 = grid.nv[2]
+        # irfft along k3: the DC and Nyquist rows once, the others twice
+        rows = np.zeros(n3)
+        rows[:n3 // 2 + 1] = 2.0
+        rows[[0, n3 // 2]] = 1.0
+        half = reference_inverse(acc * rows, grid)
+        full = reference_inverse(acc, grid)
+        got = gain_term_spectral(f, g, cfg).data.real
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(got - half)) <= 1e-13 * scale
+        assert lo <= np.max(np.abs(got - full)) / scale <= hi
+
     def test_second_call_hits_the_cache(self):
         grid = oracle_grid()
         f = smooth_blob(grid, np.random.default_rng(43))
@@ -432,7 +512,9 @@ class TestGainOperators:
         assert len(ops) == 4
         for pair in ops:
             for op in pair:
-                assert op.shape == (512, 16**3)
+                # the half output lattice k3 <= 4 by the stacked rfft
+                # halves [F; conj F] of the 16^3 padded lattice
+                assert op.shape == (8 * 8 * 5, 2 * 16 * 16 * 9)
                 for arr in (op.data, op.indices, op.indptr):
                     assert not arr.flags.writeable
 
@@ -486,18 +568,20 @@ class TestGainOperators:
 
 
 class TestPaddedSpectrum:
-    """The pruned padded transform against a full FFT of the padded block."""
+    """The pruned padded transform against a full rfftn of the padded block."""
 
     @pytest.mark.parametrize("nv, c", [((8, 8, 8), 732), ((16, 16, 16), 1),
-                                       ((8, 4, 2), 5)])
+                                       ((8, 4, 2), 5), ((8, 8, 8), 32),
+                                       ((4, 2, 1), 3)])
     def test_matches_fftn_of_zero_padded_block(self, nv, c):
         grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
         rng = np.random.default_rng(47)
-        chunk = rng.standard_normal((c,) + nv) + 1j * rng.standard_normal((c,) + nv)
-        padded = np.zeros(tuple(2 * n for n in nv) + (c,), dtype=complex)
+        chunk = rng.standard_normal((c,) + nv)
+        padded = np.zeros(tuple(2 * n for n in nv) + (c,))
         padded[tuple(slice(n // 2, n // 2 + n) for n in nv)] = np.moveaxis(chunk, 0, -1)
-        want = np.fft.fftn(padded, axes=(0, 1, 2)).reshape(-1, c)
-        got = C._padded_spectrum(chunk, grid)
+        want = np.fft.rfftn(padded, axes=(0, 1, 2))
+        # the gain passes the real part of complex rows: a strided view
+        got = C._padded_spectrum(chunk.astype(complex).real, grid)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 

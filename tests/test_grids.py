@@ -195,6 +195,59 @@ class TestUniformRead:
             got, np.interp(u, grid, table, right=0.0), rtol=0, atol=1e-15)
 
 
+class TestFiniteness:
+    """The public constructor scans every sample; `_derived` only when its
+    max-abs bound does not prove the data finite."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_public_constructor_rejects_non_finite(self, bad):
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
+        for part in ("real", "imag"):
+            data = np.ones(g.shape, dtype=complex)
+            getattr(data, part)[1, 0, 1, 0, 1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                PhaseField(g, data, FieldTag.Physical_xv)
+
+    def test_overflowing_product_still_raises(self):
+        # finite factors whose product overflows, as in the residual's loss
+        # products: the bound is inf, so the result is scanned
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
+        f = PhaseField(g, np.full(g.shape, 1e200, dtype=complex))
+        rho = np.full(g.nx + (1, 1, 1), -1e200)
+        with np.errstate(over="ignore"):
+            data = f.data * rho
+        bound = grids._max_abs(f.data) * grids._max_abs(rho)
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseField._derived(g, data, FieldTag.Physical_xv, bound)
+
+    def test_nan_bound_scans(self):
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
+        data = np.zeros(g.shape, dtype=complex)
+        data[0, 0, 0, 0, 0, 1] = np.nan
+        bound = grids._max_abs(data)
+        assert np.isnan(bound)
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseField._derived(g, data, FieldTag.Physical_xv, bound)
+
+    def test_proving_bound_keeps_the_other_checks(self):
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
+        f = PhaseField._derived(g, np.ones(g.shape), FieldTag.Spectral_eta_v, 1.0)
+        assert f.data.dtype == np.complex128 and f.tag is FieldTag.Spectral_eta_v
+        with pytest.raises(ValueError, match="grid shape"):
+            PhaseField._derived(g, np.ones(g.nx), FieldTag.Physical_xv, 1.0)
+
+    def test_max_abs_bounds_every_sample(self):
+        rng = np.random.default_rng(25)
+        real = rng.standard_normal(50)
+        assert grids._max_abs(real) == np.max(np.abs(real))
+        z = real + 1j * rng.standard_normal(50)
+        assert np.max(np.abs(z)) <= grids._max_abs(z) <= 2**0.5 * np.max(np.abs(z))
+        for k in (0, 49):  # NaN first or last
+            bad = z.copy()
+            bad[k] = complex(np.nan, 0.0)
+            assert np.isnan(grids._max_abs(bad))
+
+
 class TestTransforms:
     def test_round_trip_identity(self):
         f = random_field(small_grid())
@@ -351,6 +404,22 @@ class TestXDerivatives:
         data = np.random.default_rng(5).standard_normal(g.nx + (3,))
         for d in grids.x_derivatives(data, g):
             assert np.max(np.abs(d.imag)) <= 1e-14 * np.max(np.abs(d.real))
+
+    def test_traced_peak_three_times_the_input(self):
+        # the spectrum, the output the caller holds and one signed copy that
+        # carries the symbol: no separate spectrum-times-symbol temporary
+        g = GridSpec((16, 16, 16), (4, 4, 4), Lx=4.0, Lv=4.0)
+        data = random_field(g, seed=24).data
+        tracemalloc.start()
+        try:
+            held = None
+            for d in grids.x_derivatives(data, g):
+                held = d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held.shape == data.shape
+        assert peak <= 3.5 * data.nbytes
 
 
 class TestFreeTransport:
