@@ -41,10 +41,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bump import chi, default_bump, gauss_on
-from .collision import fibonacci_sphere, gain_term_spectral
-from .grids import (FieldTag, GridSpec, PhaseField, Storage, _ft, _max_abs,
-                    axis_sum, blocks, lattice_read, lattice_stencil,
-                    uniform_read, x_derivatives)
+from .collision import FOUR_PI, fibonacci_sphere, gain_term_spectral
+from .grids import (GridSpec, PhaseField, Storage, _ft, _is_dyadic, axis_sum,
+                    blocks, lattice_read, lattice_stencil, uniform_read,
+                    x_derivatives)
 
 __all__ = [
     "AnsatzParams",
@@ -72,9 +72,6 @@ __all__ = [
     "sphere_grid",
 ]
 
-FOUR_PI = 4.0 * np.pi
-
-
 # ---------------------------------------------------------------------------
 # direction grid and parameter bundles
 # ---------------------------------------------------------------------------
@@ -85,11 +82,6 @@ def sphere_grid(J: int) -> np.ndarray:
         raise ValueError("direction grid needs J >= 12")
     nodes, _ = fibonacci_sphere(int(J))
     return nodes
-
-
-def _is_dyadic(n: float) -> bool:
-    m = int(n) if math.isfinite(n) else 0
-    return m == n and m >= 1 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +411,7 @@ _ANGLE_NODES = 96  # Gauss nodes per polar band of rho_b_radial
 
 
 def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
-    """Angular-averaged tube density at the radii r.
+    """Angular-averaged tube density at the radii r (finite, >= 0).
 
     Replaces the direction sum by (J/2) int_{-1}^{1} dc of the same per-tube
     product -- the equidistribution limit of the Fibonacci grid -- with one
@@ -435,6 +427,8 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
     c2g, t2 = sm.psi2_at(t)
     c1g, t1 = sm.psi1_at(t / 10.0)
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((r >= 0.0) & (r < math.inf)):
+        raise ValueError("radii r must be finite and >= 0")
     rr = r.reshape(-1, 1)
     # the perpendicular cut M r sin(theta) <= c2_max confines the integrand
     # to polar caps |c| >= c_star; put a full rule on each cap so large radii
@@ -481,6 +475,8 @@ def beta_eval(p: AnsatzParams, t: float, x, cache: "BetaCache | None" = None,
     verifies convergence.  Either way t must lie in [t_star, 0].
     """
     _check_attenuation_time(p, t)
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
     if cache is not None:
         return cache(t, x)
     X, lead = _as_points(x)
@@ -580,6 +576,8 @@ def converged_beta_cache(p: AnsatzParams, tol: float = 0.005,
                          max_rounds: int = 4) -> BetaCache:
     """Double the cache table until the cavity attenuation factor
     exp(-beta) changes by less than `tol` relative, and return that cache."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     cache = BetaCache(p, nt, nx)
@@ -640,10 +638,8 @@ def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of the cavity field: the outer product of its parts."""
     sheet, vfac = _cavity_parts(p, t, grid, beta)
-    data = np.multiply.outer(sheet.astype(np.complex128), vfac)
-    return PhaseField._derived(replace(grid, storage=Storage.Full), data,
-                               FieldTag.Physical_xv,
-                               _max_abs(sheet) * _max_abs(vfac))
+    return PhaseField(replace(grid, storage=Storage.Full),
+                      np.multiply.outer(sheet.astype(np.complex128), vfac))
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
@@ -681,10 +677,8 @@ def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
     sheet, vfac = _cavity_parts(p, t, grid, beta)
     grad = np.stack([d.reshape(-1) for d in x_derivatives(sheet, grid)], axis=1)
     grid = replace(grid, storage=Storage.Full)
-    vmat = grid.v_points().T * vfac.reshape(-1)
-    return PhaseField._derived(grid, (grad @ vmat).reshape(grid.shape),
-                               FieldTag.Physical_xv,
-                               3 * _max_abs(grad) * _max_abs(vmat))
+    out = grad @ (grid.v_points().T * vfac.reshape(-1))
+    return PhaseField(grid, out.reshape(grid.shape))
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -706,27 +700,19 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
 
     fr = f_r_to_grid(p, t, grid, beta=beta)
     fb = f_b_to_grid(p, t, grid)
-    # max-abs bounds of the checked parts let the sum and the loss products
-    # skip their finiteness scans when the bounds prove them finite
-    mr, mb = _max_abs(fr.data), _max_abs(fb.data)
-    fa = PhaseField._derived(fr.grid, fr.data + fb.data, FieldTag.Physical_xv,
-                             mr + mb)
+    fa = fr + fb
 
     X = grid.x_points()
     loss_r = FOUR_PI * rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
     loss_b = FOUR_PI * rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
 
-    def loss(h, m, rho):
-        return PhaseField._derived(grid, h.data * rho, FieldTag.Physical_xv,
-                                   m * _max_abs(rho))
-
     gain = gain_term_spectral(fa, fa, cfg)  # a fresh field: negate in place
     np.negative(gain.data, out=gain.data)
     return [
         ("transport_cavity", transport_term(p, t, grid, beta=beta)),
-        ("loss_tubes_cavity", loss(fb, mb, loss_r)),
-        ("loss_cavity_cavity", loss(fr, mr, loss_r)),
-        ("loss_tubes_tubes", loss(fb, mb, loss_b)),
+        ("loss_tubes_cavity", PhaseField(grid, fb.data * loss_r)),
+        ("loss_cavity_cavity", PhaseField(grid, fr.data * loss_r)),
+        ("loss_tubes_tubes", PhaseField(grid, fb.data * loss_b)),
         ("gain_full", gain),
     ]
 

@@ -44,7 +44,6 @@ from .grids import (
     VSlicedField,
     _edge_sign,
     _ft,
-    _max_abs,
     axis_sum,
     blocks,
     lattice_read,
@@ -226,30 +225,27 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
 def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Raw DFT of the real part of (c, nv) physical data zero-padded to the
     doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)):
-    its rfft half k3 <= n3 in FFT order, chunk axis last, shape (2n1, 2n2,
-    n3 + 1, c).  Edge phase and cell volume are left to the operators.  An
-    rfft of the zero-padded core rows writes into one zeroed buffer, which
-    axes 1 and 0 transform in place, each 1-D FFT only over the slabs that
-    are not all zeros: numpy, since its `out=` writes each pass into the
-    slab (scipy passes copied back cost 3x on 8^3 blocks)."""
+    its rfft half F, k3 <= n3 in FFT order, chunk axis last, shape (2n1, 2n2,
+    n3 + 1, c), as the float64 view of [F; conj F] that the operators read.
+    Edge phase and cell volume are left to them.  An rfft of the zero-padded
+    core rows writes into the zeroed half F, which axes 1 and 0 transform in
+    place, each 1-D FFT only over the slabs that are not all zeros: numpy,
+    since its `out=` writes each pass into the slab (scipy passes copied
+    back cost 3x on 8^3 blocks); conj F is written once into the other half."""
     n1, n2, n3 = grid.nv
+    c = chunk.shape[0]
     core = tuple(slice(n // 2, n // 2 + n) for n in grid.nv)
-    real = np.zeros((n1, n2, 2 * n3, chunk.shape[0]))
+    real = np.zeros((n1, n2, 2 * n3, c))
     real[:, :, core[2]] = np.moveaxis(chunk.real, 0, -1)
-    spec = np.zeros((2 * n1, 2 * n2, n3 + 1, chunk.shape[0]), dtype=np.complex128)
+    out = np.empty((2, 2 * n1, 2 * n2, n3 + 1, c), dtype=np.complex128)
+    spec = out[0]
+    spec.fill(0.0)
     np.fft.rfft(real, axis=2, out=spec[core[:2]])
     for a in (1, 0):
         slab = spec[core[:a]]
         np.fft.fft(slab, axis=a, out=slab)
-    return spec
-
-
-def _conj_stack(F: np.ndarray) -> np.ndarray:
-    """The float64 view of [F; conj F], F as (Ph, c): what the operators read."""
-    out = np.empty((2,) + F.shape, dtype=np.complex128)
-    out[0] = F
-    np.conjugate(F, out=out[1])
-    return out.reshape(-1, F.shape[-1]).view(np.float64)
+    np.conjugate(spec, out=out[1])
+    return out.reshape(-1, c).view(np.float64)
 
 
 def _node_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
@@ -392,8 +388,8 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         if trilinear:
             # the real operators act on the float64 view of [F; conj F]:
             # 2c real columns, no complex copy of the matrices
-            Fl = _conj_stack(_padded_spectrum(fd[sl], grid))
-            Gl = Fl if same else _conj_stack(_padded_spectrum(gd[sl], grid))
+            Fl = _padded_spectrum(fd[sl], grid)
+            Gl = Fl if same else _padded_spectrum(gd[sl], grid)
             acc = np.zeros((math.prod(half), rows), dtype=np.complex128)
             for sp, sm in ops:
                 acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
@@ -406,15 +402,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         out[sl] = sfft.irfftn(acc.reshape((rows,) + half) * inv_sign, s=grid.nv,
                               axes=(1, 2, 3), overwrite_x=True).reshape(rows, nvtot)
 
-    # each intermediate is at most the product of these factors taken at
-    # least 1: |F| <= Nv max|f| (cell_v more for Trig), the node sum <= sum(w)
-    # cell_v**2 Nv**2 max|f| max|g|, the inverse's raw sums Nv / cell_v times it
-    mf = _max_abs(f.data)
-    bound = math.prod(max(v, 1.0) for v in (
-        mf, mf if same else _max_abs(g.data), float(np.sum(quad.weights)),
-        nvtot**3, grid.cell_v**2, 1.0 / grid.cell_v))
-    return PhaseField._derived(grid, out.reshape(grid.shape),
-                               FieldTag.Physical_xv, bound)
+    return PhaseField(grid, out.reshape(grid.shape), FieldTag.Physical_xv)
 
 
 # ---------------------------------------------------------------------------

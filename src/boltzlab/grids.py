@@ -68,8 +68,10 @@ class Storage(enum.Enum):
     VSliced = 1
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_dyadic(n: float) -> bool:
+    """Whether n is a power of two 1, 2, 4, ... (an int or an integral float)."""
+    m = int(n) if math.isfinite(n) else 0
+    return m == n and m >= 1 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class GridSpec:
         if len(nx) != 3 or len(nv) != 3:
             raise ValueError("nx and nv must be triples")
         for n in nx + nv:
-            if not _is_pow2(n):
+            if not _is_dyadic(n):
                 raise ValueError(f"grid resolutions must be powers of two, got {n}")
         for name, L in (("Lx", self.Lx), ("Lv", self.Lv)):
             if not 0 < L < math.inf:
@@ -178,19 +180,6 @@ class GridSpec:
         return np.stack([c.ravel() for c in X], axis=-1)
 
 
-#: a computed field whose max-abs bound lies below this holds no overflowed
-#: sample: float64 reaches 1.8e308, so rounding has eight decades of room
-_FINITE_BOUND = 1e300
-
-
-def _max_abs(data: np.ndarray) -> float:
-    """max |data| of real data, and a bound within sqrt(2) of it for complex
-    data, by two reductions that allocate nothing; NaN if data holds one."""
-    if np.iscomplexobj(data):
-        return math.sqrt(2.0) * _max_abs(data.view(np.float64))
-    return float(np.maximum(np.max(data), -np.min(data)))
-
-
 @dataclass
 class PhaseField:
     """Complex samples over the 6D grid, indexed (x triple, v triple)."""
@@ -200,27 +189,12 @@ class PhaseField:
     tag: FieldTag = FieldTag.Physical_xv
 
     def __post_init__(self):
-        self._check(scan=True)
-
-    @classmethod
-    def _derived(cls, grid: GridSpec, data: np.ndarray, tag: FieldTag,
-                 bound: float) -> "PhaseField":
-        """A field computed from checked fields, with `bound` a bound of
-        max |data| and of every intermediate, derived from theirs.  The
-        public constructor's checks, but the finiteness scan runs only when
-        the bound does not prove every sample finite (a NaN bound included)."""
-        out = cls.__new__(cls)
-        out.grid, out.data, out.tag = grid, data, tag
-        out._check(scan=not bound < _FINITE_BOUND)
-        return out
-
-    def _check(self, scan: bool) -> None:
         if self.grid.storage is not Storage.Full:
             raise ValueError("PhaseField requires Full storage (see VSlicedField)")
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
         if self.data.shape != self.grid.shape:
             raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
-        if scan and not np.all(np.isfinite(self.data.view(np.float64))):
+        if not np.all(np.isfinite(self.data.view(np.float64))):
             raise ValueError("field contains non-finite samples")
 
     def copy(self) -> "PhaseField":
@@ -407,7 +381,8 @@ def blocks(n: int, per_item: int) -> Iterator[slice]:
 def uniform_read(u, table: np.ndarray, step: float) -> np.ndarray:
     """Linear read of the samples table[k] at k * step (k = 0, 1, ...) at
     u >= 0, zero past the last sample: np.interp(u, step * arange(n), table,
-    right=0) by index arithmetic instead of a binary search."""
+    right=0) by index arithmetic instead of a binary search.  Unchecked: u must
+    be finite and >= 0; any other u reads wrong samples or raises IndexError."""
     s = np.asarray(u, dtype=float) * (1.0 / step)
     last = table.shape[0] - 1
     # the last sample's slope is 0, so a read at u = last * step is exact
@@ -619,7 +594,7 @@ def _resample_axis_factor(m: float) -> tuple[int, int]:
     fr = Fraction(m).limit_denominator(64)
     if abs(fr - m) > 1e-12:
         raise ValueError(f"scale factor {m} is not a small rational; unsupported")
-    if fr.denominator & (fr.denominator - 1):
+    if not _is_dyadic(fr.denominator):
         raise ValueError(f"scale denominator {fr.denominator} not a power of two")
     return fr.numerator, fr.denominator
 

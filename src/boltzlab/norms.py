@@ -28,6 +28,7 @@ from boltzlab.grids import (
     PhaseField,
     Trajectory,
     VSlicedField,
+    _is_dyadic,
     _tag_from,
     axis_sum,
     eta_dot_v,
@@ -177,7 +178,7 @@ def _cumulative_step(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def _lp_multiplier(abs2: np.ndarray, dyad: int, label: str) -> np.ndarray:
-    if dyad < 1 or (dyad & (dyad - 1)):
+    if not _is_dyadic(dyad):
         raise ValueError(f"dyad must be a power of two, got {dyad}")
     fmax = math.sqrt(float(abs2.max()))
     k = dyad.bit_length() - 1  # dyad = 2^k

@@ -34,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import TubeFamily, _as_pairs, _is_dyadic, _tube_family
+from .ansatz import TubeFamily, _as_pairs, _tube_family
 from .bump import BumpProfile, default_bump, default_cutoff, gauss_on
-from .grids import blocks, uniform_read
+from .grids import _is_dyadic, blocks, uniform_read
 
 __all__ = [
     "QuadratureBudgetError",

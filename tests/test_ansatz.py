@@ -397,6 +397,12 @@ class TestTubeDensity:
         dev = math.exp(0.5 * (logr.max() - logr.min()))
         assert dev < 3.0
 
+    @pytest.mark.parametrize("r", [-0.05, -2.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_radii(self, p4, r):
+        # a negative radius would read the smear tables from their end
+        with pytest.raises(ValueError, match="radii"):
+            rho_b_radial(p4, 0.0, [0.1, r])
+
 
 # ---------------------------------------------------------------------------
 # attenuation exponent
@@ -479,6 +485,14 @@ class TestBeta:
     def test_quadrature_nonconvergence_error(self, p8):
         with pytest.raises(RuntimeError, match="did not converge"):
             beta_eval(p8, p8.t_star, np.zeros(3), rtol=1e-16)
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.1, math.inf])
+    def test_rejects_bad_tolerance(self, p4, tol):
+        # a NaN tolerance would pass every `err > tol` check
+        with pytest.raises(ValueError, match="rtol must be finite"):
+            beta_eval(p4, p4.t_star, np.zeros((2, 3)), rtol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            converged_beta_cache(p4, tol=tol)
 
     def test_time_range(self, p8, caches):
         _, cache = caches[8]

@@ -347,8 +347,8 @@ class TestSpectralGain:
                 gain_term_spectral(*args, cfg)
 
     def test_overflowing_gain_still_raises(self):
-        # finite inputs whose gain overflows: the max-abs bound proves
-        # nothing, so the output is scanned
+        # finite inputs whose gain overflows: the output's finiteness scan
+        # raises
         grid = oracle_grid()
         f = smooth_blob(grid, np.random.default_rng(22))
         huge = PhaseField(grid, 1e160 * f.data, FieldTag.Physical_xv)
@@ -568,7 +568,8 @@ class TestGainOperators:
 
 
 class TestPaddedSpectrum:
-    """The pruned padded transform against a full rfftn of the padded block."""
+    """The pruned padded transform against a full rfftn of the padded block:
+    half 0 of the stacked result is the rfft half, half 1 its conjugate."""
 
     @pytest.mark.parametrize("nv, c", [((8, 8, 8), 732), ((16, 16, 16), 1),
                                        ((8, 4, 2), 5), ((8, 8, 8), 32),
@@ -582,8 +583,10 @@ class TestPaddedSpectrum:
         want = np.fft.rfftn(padded, axes=(0, 1, 2))
         # the gain passes the real part of complex rows: a strided view
         got = C._padded_spectrum(chunk.astype(complex).real, grid)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert got.dtype == np.float64 and got.shape == (2 * want.size // c, 2 * c)
+        got = got.view(np.complex128).reshape((2,) + want.shape)
+        for half, ref in zip(got, (want, want.conj())):
+            assert np.max(np.abs(half - ref)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestDirectGain:

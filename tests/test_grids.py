@@ -196,8 +196,8 @@ class TestUniformRead:
 
 
 class TestFiniteness:
-    """The public constructor scans every sample; `_derived` only when its
-    max-abs bound does not prove the data finite."""
+    """Every PhaseField, computed ones included, goes through the public
+    constructor: its checks and its scan of every sample."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_public_constructor_rejects_non_finite(self, bad):
@@ -210,42 +210,38 @@ class TestFiniteness:
 
     def test_overflowing_product_still_raises(self):
         # finite factors whose product overflows, as in the residual's loss
-        # products: the bound is inf, so the result is scanned
+        # products
         g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
         f = PhaseField(g, np.full(g.shape, 1e200, dtype=complex))
         rho = np.full(g.nx + (1, 1, 1), -1e200)
         with np.errstate(over="ignore"):
             data = f.data * rho
-        bound = grids._max_abs(f.data) * grids._max_abs(rho)
         with pytest.raises(ValueError, match="non-finite"):
-            PhaseField._derived(g, data, FieldTag.Physical_xv, bound)
+            PhaseField(g, data, FieldTag.Physical_xv)
 
-    def test_nan_bound_scans(self):
+    def test_constructor_converts_and_checks_shape(self):
         g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
-        data = np.zeros(g.shape, dtype=complex)
-        data[0, 0, 0, 0, 0, 1] = np.nan
-        bound = grids._max_abs(data)
-        assert np.isnan(bound)
-        with pytest.raises(ValueError, match="non-finite"):
-            PhaseField._derived(g, data, FieldTag.Physical_xv, bound)
-
-    def test_proving_bound_keeps_the_other_checks(self):
-        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
-        f = PhaseField._derived(g, np.ones(g.shape), FieldTag.Spectral_eta_v, 1.0)
+        f = PhaseField(g, np.ones(g.shape), FieldTag.Spectral_eta_v)
         assert f.data.dtype == np.complex128 and f.tag is FieldTag.Spectral_eta_v
         with pytest.raises(ValueError, match="grid shape"):
-            PhaseField._derived(g, np.ones(g.nx), FieldTag.Physical_xv, 1.0)
+            PhaseField(g, np.ones(g.nx), FieldTag.Physical_xv)
 
-    def test_max_abs_bounds_every_sample(self):
-        rng = np.random.default_rng(25)
-        real = rng.standard_normal(50)
-        assert grids._max_abs(real) == np.max(np.abs(real))
-        z = real + 1j * rng.standard_normal(50)
-        assert np.max(np.abs(z)) <= grids._max_abs(z) <= 2**0.5 * np.max(np.abs(z))
-        for k in (0, 49):  # NaN first or last
-            bad = z.copy()
-            bad[k] = complex(np.nan, 0.0)
-            assert np.isnan(grids._max_abs(bad))
+
+class TestDyadic:
+    """The one power-of-two test behind grids, rescale, norms and ansatz."""
+
+    @pytest.mark.parametrize("n, ok", [(1, True), (2, True), (64, True),
+                                       (4.0, True), (0, False), (-2, False),
+                                       (6, False), (2.5, False),
+                                       (np.inf, False), (np.nan, False)])
+    def test_is_dyadic(self, n, ok):
+        assert grids._is_dyadic(n) is ok
+
+    def test_resample_denominator(self):
+        assert grids._resample_axis_factor(0.75) == (3, 4)
+        assert grids._resample_axis_factor(2.0) == (2, 1)
+        with pytest.raises(ValueError, match="scale denominator 3 not a power of two"):
+            grids._resample_axis_factor(2.0 / 3.0)
 
 
 class TestTransforms:
