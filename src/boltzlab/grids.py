@@ -378,19 +378,29 @@ def blocks(n: int, per_item: int) -> Iterator[slice]:
 # lattice reads
 # ---------------------------------------------------------------------------
 
-def uniform_read(u, table: np.ndarray, step: float) -> np.ndarray:
+def uniform_read(u, table: np.ndarray, step: float, out=None,
+                 work=None) -> np.ndarray:
     """Linear read of the samples table[k] at k * step (k = 0, 1, ...) at
     u >= 0, zero past the last sample: np.interp(u, step * arange(n), table,
-    right=0) by index arithmetic instead of a binary search.  Unchecked: u must
-    be finite and >= 0; any other u reads wrong samples or raises IndexError."""
-    s = np.asarray(u, dtype=float) * (1.0 / step)
-    last = table.shape[0] - 1
-    # the last sample's slope is 0, so a read at u = last * step is exact
-    k = np.minimum(s, last).astype(np.intp)
-    out = np.append(np.diff(table), 0.0)[k]
-    out *= s - k
-    out += table[k]
-    return np.where(s <= last, out, 0.0)
+    right=0) as A[c] + B[c] (s - c) at s = min(u / step, n) and c = ceil(s),
+    with A = (table, 0) and B = (0, diff(table), 0).  A read at a sample
+    returns it, and every read past the last one lands on the zero slot
+    c = n, so np.take needs no bounds check.  The read goes into out, with
+    work = (float64, intp) as scratch, all of u's shape and allocated when
+    not given; u is not written.  Unchecked: u must be finite and >= 0; any
+    other u reads wrong samples."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape) if out is None else out
+    s, c = work or (np.empty(u.shape), np.empty(u.shape, np.intp))
+    ab = np.zeros((2, table.shape[0] + 1))
+    ab[0, :-1], ab[1, 1:-1] = table, np.diff(table)
+    np.minimum(np.multiply(u, 1.0 / step, out=s), table.shape[0], out=s)
+    np.copyto(c, np.ceil(s, out=out), casting="unsafe")
+    s -= out
+    np.take(ab[1], c, out=out, mode="clip")
+    out *= s
+    out += np.take(ab[0], c, out=s, mode="clip")
+    return out
 
 
 def lattice_stencil(points: np.ndarray, lo, step,

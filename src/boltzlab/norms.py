@@ -181,7 +181,7 @@ def _lp_multiplier(abs2: np.ndarray, dyad: int, label: str) -> np.ndarray:
     if not _is_dyadic(dyad):
         raise ValueError(f"dyad must be a power of two, got {dyad}")
     fmax = math.sqrt(float(abs2.max()))
-    k = dyad.bit_length() - 1  # dyad = 2^k
+    k = int(dyad).bit_length() - 1  # dyad = 2^k
     if k >= 1 and 2.0 ** (k - 0.75) >= fmax:
         raise ValueError(
             f"dyad {dyad} outside resolved range of the {label} axis "

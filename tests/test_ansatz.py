@@ -1,6 +1,7 @@
 """Tube/cavity construction: direction grid, densities, attenuation, norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import SphericalVoronoi
 
-from boltzlab import grids
+from boltzlab import ansatz, grids
 from boltzlab.ansatz import (
     AnsatzParams,
     BetaCache,
@@ -38,7 +39,7 @@ from boltzlab.ansatz import (
 )
 from boltzlab.bump import default_bump, gauss_on
 from boltzlab.collision import CollisionConfig, SphereQuadrature
-from boltzlab.grids import GridSpec
+from boltzlab.grids import GridSpec, uniform_read
 from boltzlab.norms import z_norm
 from boltzlab.sharpness import sharpness_functions
 
@@ -46,6 +47,11 @@ from boltzlab.sharpness import sharpness_functions
 @pytest.fixture(scope="module")
 def p8():
     return AnsatzParams.make(M=8)
+
+
+@pytest.fixture(scope="module")
+def p16():
+    return AnsatzParams.make(M=16)
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +369,63 @@ class TestTubeDensity:
         want = p8.amp_b * p8.N2 / (10.0 * p8.M**2) * terms.sum(axis=1)
         np.testing.assert_allclose(rho_b_eval(p8, t, x), want, rtol=1e-13)
 
+    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    def test_m16_matches_interp_reference(self, p16, frac):
+        # the M=16 (J=65536) sum of the scalars workload, one point at a time
+        # with np.interp's binary-search reads: cavity points, points where
+        # some reads pass the table ends, and points beyond every tube
+        t = frac * p16.t_star
+        rng = np.random.default_rng(45)
+        x = np.vstack([np.zeros((1, 3)), rng.uniform(-1.0, 1.0, (19, 3)) / p16.M,
+                       rng.uniform(-0.5, 0.5, (4, 3)) * p16.N2,
+                       [[2.0 * p16.N2, 0.0, 0.0], [0.0, -1.5 * p16.N2, 3.0]]])
+        sm = _smear()
+        c2, tab2 = sm.psi2_at(t)
+        c1, tab1 = sm.psi1_at(t / 10.0)
+        want = []
+        for xi in x:
+            dots = p16.directions @ xi
+            perp = np.sqrt(np.clip(xi @ xi - dots**2, 0.0, None))
+            want.append(np.sum(np.interp(p16.M * perp, c2, tab2, right=0.0)
+                               * np.interp(np.abs(dots - t * p16.N2) / p16.N2,
+                                           c1, tab1, right=0.0)))
+        want = p16.amp_b * p16.N2 / (10.0 * p16.M**2) * np.array(want)
+        got = rho_b_eval(p16, t, x)
+        assert np.all(got[:-2] > 0.0) and np.all(got[-2:] == 0.0)
+        np.testing.assert_allclose(got[:20], want[:20], rtol=1e-13)
+        # off the cavity a point meets a few tubes at their edges, where the
+        # reads fall on steep table tails: the two reads' rounding differs
+        # by about 1e-12 of such a sum, 4e-17 of the centre value
+        np.testing.assert_allclose(got[20:], want[20:], rtol=0,
+                                   atol=1e-15 * want[0])
+
+    def test_inputs_left_unchanged(self, p8):
+        x = np.random.default_rng(46).uniform(-1.0, 1.0, (30, 3)) / p8.M
+        keep = x.copy()
+        rho_b_eval(p8, 0.5 * p8.t_star, x)
+        assert np.array_equal(x, keep)
+        table = np.cos(np.linspace(0.0, 3.0, 17))
+        u = np.random.default_rng(47).uniform(0.0, 2.0, (6, 7))
+        table0, u0 = table.copy(), u.copy()
+        given = (np.empty(u.shape), (np.empty(u.shape), np.empty(u.shape, np.intp)))
+        for out, work in ((None, None), given):
+            uniform_read(u, table, 0.1, out=out, work=work)
+            assert np.array_equal(u, u0) and np.array_equal(table, table0)
+
+    def test_traced_peak_within_the_block_budget(self, p16):
+        # the five work buffers of one call share the budget of a single
+        # dense temporary (the peak is 1.08 budgets); before they existed,
+        # each temporary filled the budget alone and the peak was 9.1
+        x = np.random.default_rng(48).uniform(-1.0, 1.0, (500, 3)) / p16.M
+        rho_b_eval(p16, 0.0, x[:2])  # the smear tables are built once per process
+        tracemalloc.start()
+        try:
+            rho_b_eval(p16, 0.0, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * grids._BLOCK * 8
+
     def test_smear_tables_factorize_at_t0(self):
         # at tau=0 the transported correlations collapse onto the profile:
         # Psi2(c;0) = Phi2 chi(c), Psi1(c;0) = Phi1 chi(c)
@@ -678,6 +741,18 @@ class TestResidualTerms:
         coarse = GridSpec((8,) * 3, (8,) * 3, Lx=1.0, Lv=10.0, full_cap=24**6)
         with pytest.raises(ValueError, match="resolve the tube cross-section"):
             f_err_terms(p8, 0.0, coarse, CollisionConfig())
+
+    def test_sliced_grid_rejected_before_any_work(self, p4, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("called before the storage check")
+
+        for name in ("gain_term_spectral", "f_r_to_grid", "f_b_to_grid"):
+            monkeypatch.setattr(ansatz, name, never)
+        # fine enough for the resolution guard, which runs after this check
+        grid = GridSpec((8,) * 3, (4,) * 3, Lx=0.9 / p4.M, Lv=1.25 * p4.N2,
+                        storage=grids.Storage.VSliced)
+        with pytest.raises(ValueError, match="requires Full storage"):
+            f_err_terms(p4, 0.0, grid, CollisionConfig())
 
     def test_five_labeled_terms(self, p4, caches):
         _, cache = caches[4]

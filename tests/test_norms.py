@@ -263,6 +263,12 @@ class TestLittlewoodPaley:
         with pytest.raises(ValueError, match="power of two"):
             lp_project(f, "x", 3)
 
+    def test_numpy_and_float_dyads_match_int(self):
+        f = random_field(self.fine_grid(), seed=49)
+        want = lp_project(f, "x", 4).data
+        for dyad in (np.int64(4), 4.0, np.float64(4.0)):
+            np.testing.assert_array_equal(lp_project(f, "x", dyad).data, want)
+
 
 class TestSpacetime:
     def test_single_snapshot_qinf(self):
