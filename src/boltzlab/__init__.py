@@ -10,6 +10,8 @@ function.  Reach the module with
 `importlib.import_module("boltzlab.collision")`.
 """
 
+import types as _types
+
 from boltzlab.util import apply_thread_cap
 
 apply_thread_cap()
@@ -72,55 +74,8 @@ from boltzlab.sharpness import (  # noqa: E402
     sharpness_integral,
 )
 
-__all__ = [
-    "FieldTag",
-    "GridSpec",
-    "PhaseField",
-    "ScalingTransform",
-    "Storage",
-    "Trajectory",
-    "VSlicedField",
-    "free_transport",
-    "gaussian_oracle",
-    "rescale",
-    "transform",
-    "CollisionConfig",
-    "Interpolation",
-    "SphereQuadrature",
-    "collision",
-    "gain_term_direct",
-    "gain_term_spectral",
-    "loss_term",
-    "maxwellian",
-    "moments",
-    "post_collision",
-    "spatial_density",
-    "BumpProfile",
-    "TimeCutoff",
-    "default_bump",
-    "default_cutoff",
-    "AnsatzParams",
-    "BetaCache",
-    "TubeFamily",
-    "beta_eval",
-    "bilinear_factors",
-    "converged_beta_cache",
-    "f_a_eval",
-    "f_a_to_grid",
-    "f_b_eval",
-    "f_b_to_grid",
-    "f_err_terms",
-    "f_r_eval",
-    "f_r_to_grid",
-    "rho_b_eval",
-    "rho_b_radial",
-    "rho_r_eval",
-    "sphere_grid",
-    "QuadratureBudgetError",
-    "SharpnessFunctions",
-    "sharpness_functions",
-    "sharpness_integral",
-    "apply_thread_cap",
-]
+#: every public name bound above by the imports, the submodules left out
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _types.ModuleType)]
 
 __version__ = "0.1.0"

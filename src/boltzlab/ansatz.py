@@ -89,27 +89,26 @@ def sphere_grid(J: int) -> np.ndarray:
 class TubeFamily:
     """Direction grid and scales for the tube construction.
 
-    J defaults to exactly (M*N2)^2; the nearest-neighbor angular spacing of
+    The grid is fixed by the scales M and N2 alone; the regularity s enters
+    only the amplitudes and the attenuation window (`AnsatzParams`).  J
+    defaults to exactly (M*N2)^2; the nearest-neighbor angular spacing of
     the Fibonacci grid sits at ~0.87x the equal-area value sqrt(4 pi / J),
     comfortably inside the contractual [0.5, 2] band (checked at build).
     """
 
     M: int
     N2: int
-    s: float
     J: int
     directions: np.ndarray
     min_spacing: float
     equal_area_spacing: float
 
     @classmethod
-    def make(cls, M: int, N2: int, s: float, J: int | None = None) -> "TubeFamily":
+    def make(cls, M: int, N2: int, J: int | None = None) -> "TubeFamily":
         if not (_is_dyadic(M) and M >= 2):
             raise ValueError("M must be a dyadic integer >= 2")
         if not (_is_dyadic(N2) and N2 >= 2):
             raise ValueError("N2 must be a dyadic integer >= 2")
-        if not 0.5 < s < 1.0:
-            raise ValueError("regularity s must lie in (1/2, 1)")
         if J is None:
             J = (int(M) * int(N2)) ** 2
         J = int(J)
@@ -125,7 +124,7 @@ class TubeFamily:
         equal_area = math.sqrt(FOUR_PI / J)
         if not 0.5 * equal_area <= min_angle <= 2.0 * equal_area:
             raise ValueError("direction grid spacing left the equal-area band")
-        return cls(int(M), int(N2), float(s), J, dirs, min_angle, equal_area)
+        return cls(int(M), int(N2), J, dirs, min_angle, equal_area)
 
     def candidates(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live (row, tube, velocity factor) triples of the (n, 3) velocities.
@@ -170,8 +169,8 @@ class TubeFamily:
 
 
 @lru_cache(maxsize=16)
-def _tube_family(M: int, N2: int, s: float) -> TubeFamily:
-    return TubeFamily.make(M, N2, s)
+def _tube_family(M: int, N2: int) -> TubeFamily:
+    return TubeFamily.make(M, N2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +184,7 @@ class AnsatzParams:
     """
 
     tube: TubeFamily
+    s: float
     N: float
     delta: float
     mu: float
@@ -195,10 +195,12 @@ class AnsatzParams:
              N2: int | None = None) -> "AnsatzParams":
         if not (_is_dyadic(M) and M >= 4):
             raise ValueError("M must be a dyadic integer >= 4")
+        if not 0.5 < s < 1.0:
+            raise ValueError("regularity s must lie in (1/2, 1)")
         if N2 is None:
             N2 = 2 ** int(round(mu * math.log2(M)))
         mu = math.log2(N2) / math.log2(M)
-        tube = _tube_family(int(M), int(N2), float(s))
+        tube = _tube_family(int(M), int(N2))
         if N is None:
             N = 1.0 / M
         if not 0.0 < N <= 1.0 / M + 1e-12:
@@ -211,7 +213,7 @@ class AnsatzParams:
             raise ValueError("mu must be at least delta")
         if N2 ** (1.0 - s) + 1e-9 < M**delta:
             raise ValueError("attenuation window requires N2^(1-s) >= M^delta")
-        return cls(tube, float(N), float(delta), float(mu))
+        return cls(tube, float(s), float(N), float(delta), float(mu))
 
     # -- delegated scales ---------------------------------------------------
     @property
@@ -221,10 +223,6 @@ class AnsatzParams:
     @property
     def N2(self) -> int:
         return self.tube.N2
-
-    @property
-    def s(self) -> float:
-        return self.tube.s
 
     @property
     def J(self) -> int:
@@ -370,6 +368,14 @@ def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
     return (p.amp_b * out).reshape(lead)
 
 
+def _smear_at(t: float) -> tuple[np.ndarray, ...]:
+    """(c2 grid, Psi2, c1 grid, Psi1) of the smear tables blended at time t,
+    which must lie on rho_b's standing window |t| <= 1/4."""
+    if not abs(t) <= 0.25 + 1e-12:
+        raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
+    return (*_smear().psi2_at(t), *_smear().psi1_at(t / 10.0))
+
+
 def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     """Velocity average of the tube field at (t, x); x broadcast as (..., 3).
 
@@ -383,8 +389,7 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     with Kahan compensation: plain sums over the 631 blocks of a 500-point
     M=16 call drift by 1.2e-14 relative at the origin.
     """
-    if not abs(t) <= 0.25 + 1e-12:
-        raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
+    c2g, t2, c1g, t1 = _smear_at(t)
     X, lead = _as_points(x)
     out = np.zeros(X.shape[0])
 
@@ -392,9 +397,6 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     cut = p.N2 * (1.0 + 1.1 * abs(t)) + (1.0 + abs(t)) / p.M
     rows = np.nonzero(r <= cut)[0]
     if rows.size:
-        sm = _smear()
-        c2g, t2 = sm.psi2_at(t)
-        c1g, t1 = sm.psi1_at(t / 10.0)
         Xa = X[rows]
         r2 = np.einsum("ij,ij->i", Xa, Xa)
         n = rows.size
@@ -426,7 +428,8 @@ _ANGLE_NODES = 96  # Gauss nodes per polar band of rho_b_radial
 
 
 def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
-    """Angular-averaged tube density at the radii r (finite, >= 0).
+    """Angular-averaged tube density at the radii r (finite, >= 0) on the
+    standing window |t| <= 1/4 of rho_b_eval.
 
     Replaces the direction sum by (J/2) int_{-1}^{1} dc of the same per-tube
     product -- the equidistribution limit of the Fibonacci grid -- with one
@@ -436,11 +439,7 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
     is far inside the first angular zero, so the average is close to the
     direct tube sum that uncached `beta_eval` integrates.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
-    sm = _smear()
-    c2g, t2 = sm.psi2_at(t)
-    c1g, t1 = sm.psi1_at(t / 10.0)
+    c2g, t2, c1g, t1 = _smear_at(t)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((r >= 0.0) & (r < math.inf)):
         raise ValueError("radii r must be finite and >= 0")
@@ -480,20 +479,16 @@ def _check_attenuation_time(p: AnsatzParams, t: float) -> None:
         raise ValueError("attenuation time must lie in [t_star, 0]")
 
 
-def beta_eval(p: AnsatzParams, t: float, x, cache: "BetaCache | None" = None,
-              rtol: float = 1e-5) -> np.ndarray:
-    """beta(t, x) = int_0^t rho_b(t0, x) dt0 (<= 0 on [t_star, 0]).
+def beta_eval(p: AnsatzParams, t: float, x, rtol: float = 1e-5) -> np.ndarray:
+    """beta(t, x) = int_0^t rho_b(t0, x) dt0, <= 0 at t in [t_star, 0].
 
-    With a cache, reads its radial (t, |x|) table bilinearly after clipping
-    each coordinate of x to the cache box (see BetaCache); without, integrates
-    the direct tube sum rho_b_eval with a nested Gauss rule in time and
-    verifies convergence.  Either way t must lie in [t_star, 0].
+    Integrates the direct tube sum rho_b_eval with a nested Gauss rule in
+    time and verifies convergence.  The cached reading of the same exponent
+    is `cache(t, x)` on a BetaCache.
     """
     _check_attenuation_time(p, t)
     if not 0.0 <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
-    if cache is not None:
-        return cache(t, x)
     X, lead = _as_points(x)
     if t == 0.0:
         return np.zeros(lead)

@@ -132,8 +132,9 @@ class BumpProfile:
 
     Attributes
     ----------
-    r_grid, chi_table : the profile sampled on a uniform grid over [0, 1]
-    rho_grid          : logarithmic frequency grid on [rho_min, rho_max]
+    r_grid, chi_table : the profile sampled at 512 uniform points of [0, 1]
+    rho_grid          : n_rho log-spaced frequencies on [rho_min, rho_max],
+                        fixed at [0.02, 64]
     hat_tables        : dict dim -> transform values on rho_grid (dim=1,2,3)
     integral_1d/2d/3d : integrals of chi over R^d (chi extended radially)
     l2sq_1d/2d/3d     : squared L^2 masses over R^d
@@ -153,7 +154,8 @@ class BumpProfile:
     [0, 1], by default 512: 8 panels of 64 nodes, so the highest table
     frequency rho_max = 64 gets 8 nodes per period.  That rule has converged:
     every transform table is within 2.6e-15 (absolute) of the 2048-node
-    rule's and the moments within 4.4e-16.
+    rule's and the moments within 4.4e-16.  rho_max is fixed: that rule
+    under-resolves higher frequencies (1.6e-7 off at rho_max = 256).
 
     The transform tables and the round-trip check are built in row blocks of
     the `grids.blocks` budget, not as whole (n_rho x quad_nodes) outer
@@ -162,14 +164,10 @@ class BumpProfile:
     The marginals are read with `grids.uniform_read`.
     """
 
-    def __init__(self, n_radial: int = 512, rho_max: float = 64.0,
-                 n_rho: int = 4096, quad_nodes: int = 512):
-        if rho_max < 16.0:
-            raise ValueError("rho_max too small to reach the transform tail")
-        self.rho_min = 0.02
-        self.rho_max = float(rho_max)
+    rho_min, rho_max = 0.02, 64.0
 
-        self.r_grid = np.linspace(0.0, 1.0, int(n_radial))
+    def __init__(self, n_rho: int = 4096, quad_nodes: int = 512):
+        self.r_grid = np.linspace(0.0, 1.0, 512)
         self.chi_table = chi(self.r_grid)
 
         rq, wq = gauss_on(0.0, 1.0, int(quad_nodes))
@@ -347,19 +345,19 @@ class TimeCutoff:
     projectors use, so theta is identically 1 on the plateau and identically
     0 beyond plateau + ramp.  hat(a) reads the cosine transform
         2 int_0^inf theta(t) cos(2 pi a t) dt
-    tabulated on [0, a_max] on first use (theta is even, so this is the
-    full Fourier transform).
+    tabulated at 2048 points of [0, a_max], a_max = 24, on first use (theta
+    is even, so this is the full Fourier transform).
     """
 
-    def __init__(self, plateau: float = 1.0, ramp: float = 1.0,
-                 a_max: float = 24.0, n_a: int = 2048):
-        for name, val in (("plateau", plateau), ("ramp", ramp), ("a_max", a_max)):
+    a_max = 24.0
+
+    def __init__(self, plateau: float = 1.0, ramp: float = 1.0):
+        for name, val in (("plateau", plateau), ("ramp", ramp)):
             if not 0.0 < val < np.inf:
                 raise ValueError(f"TimeCutoff {name} must be positive and finite, got {val}")
         self.plateau = float(plateau)
         self.ramp = float(ramp)
-        self.a_max = float(a_max)
-        self.a_grid = np.linspace(0.0, self.a_max, int(n_a))
+        self.a_grid = np.linspace(0.0, self.a_max, 2048)
 
     @cached_property
     def hat_table(self) -> np.ndarray:

@@ -53,6 +53,8 @@ from .grids import (
 
 FOUR_PI = 4.0 * math.pi
 
+DIRECT_CAP = 8  # v-points per axis of the direct gain; 16 needs over 4 GB of stencils
+
 
 # ---------------------------------------------------------------------------
 # sphere quadrature
@@ -151,20 +153,17 @@ class CollisionConfig:
     the half-lattice irfftn equals the real part of the full inverse to
     rounding.  Below that those planes are read once, at -Nyquist: for
     smooth blobs on 8^3 v-grids the output moves by 0.8-2.5e-4 (m = 0) and
-    3-9e-6 (m = 0.25) of its maximum.  direct_cap guards the oracle's cost.
+    3-9e-6 (m = 0.25) of its maximum.  DIRECT_CAP guards the oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
         default_factory=SphereQuadrature.fibonacci)
     interpolation: Interpolation = Interpolation.Trilinear
     dealias_margin: float = 1.0 / 3.0
-    direct_cap: int = 8
 
     def __post_init__(self):
         if not 0.0 <= self.dealias_margin <= 0.5:
             raise ValueError("dealias_margin must lie in [0, 1/2]")
-        if self.direct_cap < 1:
-            raise ValueError("direct_cap must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def loss_term(f, g):
             return FOUR_PI * _f.v_slice(iv) * _rho
 
         return VSlicedField(f.grid, slice_fn)
-    return PhaseField(f.grid, FOUR_PI * f.data * rho[:, :, :, None, None, None],
+    return PhaseField(f.grid, FOUR_PI * f.data * on_axes(rho, (0, 1, 2), 6),
                       FieldTag.Physical_xv)
 
 
@@ -429,10 +428,10 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
     _require_full_physical(f, "gain")
     _require_full_physical(g, "gain")
     grid = f.grid
-    if max(grid.nv) > cfg.direct_cap:
+    if max(grid.nv) > DIRECT_CAP:
         raise ValueError(
             f"v-resolution {grid.nv} exceeds the direct-quadrature guard "
-            f"({cfg.direct_cap} per axis)")
+            f"({DIRECT_CAP} per axis)")
 
     V = grid.v_points()  # (Nv, 3)
     nvtot = V.shape[0]

@@ -237,18 +237,16 @@ class VSlicedField:
     """Streaming stand-in for PhaseField: one x-grid per v point, produced on demand.
 
     `slice_fn(iv)` receives a v-axis index triple and must return the complex
-    x-grid (shape grid.nx) of the field at that v point.  Only physical-space
-    streaming is supported; spectral collision work requires Full storage.
-    Consumers read either storage through `v_blocks`, which here yields one
-    nx + (1, 1, 1) block per v point.
+    x-grid (shape grid.nx) of the field at that v point.  The stored field is
+    always physical (the class attribute tag is Physical_xv); spectral
+    collision work requires Full storage.  Consumers read either storage
+    through `v_blocks`, which here yields one nx + (1, 1, 1) block per v point.
     """
 
-    def __init__(self, grid: GridSpec, slice_fn: Callable[[tuple[int, int, int]], np.ndarray],
-                 tag: FieldTag = FieldTag.Physical_xv):
-        if tag is not FieldTag.Physical_xv:
-            raise ValueError("VSlicedField only supports the physical representation")
+    tag = FieldTag.Physical_xv
+
+    def __init__(self, grid: GridSpec, slice_fn: Callable[[tuple[int, int, int]], np.ndarray]):
         self.grid = grid
-        self.tag = tag
         self._slice_fn = slice_fn
 
     def v_slice(self, iv: tuple[int, int, int]) -> np.ndarray:
@@ -560,11 +558,10 @@ def free_transport(field: PhaseField, t: float) -> PhaseField:
 def gaussian_oracle(grid: GridSpec,
                     centers: tuple[Sequence[float], Sequence[float]],
                     widths: tuple[Sequence[float], Sequence[float]],
-                    t: float = 0.0,
-                    amplitude: float = 1.0) -> PhaseField:
-    """Closed-form transported Gaussian: the separable profile
+                    t: float = 0.0) -> PhaseField:
+    """Closed-form transported Gaussian: the separable unit-height profile
 
-        f0(x,v) = A prod_a exp(-(x_a-cx_a)^2/(2 wx_a^2)) exp(-(v_a-cv_a)^2/(2 wv_a^2))
+        f0(x,v) = prod_a exp(-(x_a-cx_a)^2/(2 wx_a^2)) exp(-(v_a-cv_a)^2/(2 wv_a^2))
 
     sampled exactly along characteristics as f(t,x,v) = f0(x - v t, v).
     Raises "box too small" unless all tails carry relative mass < 1e-10
@@ -582,7 +579,7 @@ def gaussian_oracle(grid: GridSpec,
     if np.any(reach_x >= grid.Lx) or np.any(reach_v >= grid.Lv):
         raise ValueError("box too small for Gaussian support (tail mass > 1e-10)")
 
-    data = np.full(grid.shape, amplitude, dtype=np.complex128)
+    data = np.full(grid.shape, 1.0, dtype=np.complex128)
     for a in range(3):
         x = grid.x_axis(a)
         v = grid.v_axis(a)

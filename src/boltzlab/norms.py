@@ -56,6 +56,13 @@ def plateau_window(u: np.ndarray, width: float) -> np.ndarray:
 # Sobolev / homogeneous weighted norms
 # ---------------------------------------------------------------------------
 
+def _bracket(k, e: float) -> np.ndarray:
+    """The Japanese bracket <k>^e = (1 + |k|^2)^(e/2) of an array k, or on the
+    3-D block of a per-axis function k (k(a) on axis a)."""
+    k2 = axis_sum(lambda a: k(a) ** 2) if callable(k) else k**2
+    return (1.0 + k2) ** (e / 2.0)
+
+
 def _weighted_l2(field: Field, x_weight2: np.ndarray, v_weight2: np.ndarray) -> float:
     """sqrt( sum |fhat(eta,v)|^2 xw2(eta) vw2(v) d_eta^3 dv^3 )."""
     grid = field.grid
@@ -72,8 +79,8 @@ def sobolev_norm(field: Field, s: float, r: float) -> float:
     if not (np.isfinite(s) and np.isfinite(r)):
         raise ValueError("s and r must be finite")
     grid = field.grid
-    xw2 = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** s
-    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** r
+    xw2 = _bracket(grid.eta_axis, 2.0 * s)
+    vw2 = _bracket(grid.v_axis, 2.0 * r)
     return _weighted_l2(field, xw2, vw2)
 
 
@@ -100,9 +107,9 @@ def apply_bracket_weights(field: PhaseField, s: float, r: float) -> PhaseField:
     """The operator <grad_x>^s <v>^r (bracket symbol in cycles), physical output."""
     spec = field.to(FieldTag.Spectral_eta_v)
     grid = field.grid
-    xw = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** (s / 2.0)
-    vw = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** (r / 2.0)
-    data = spec.data * xw[:, :, :, None, None, None] * vw[None, None, None, :, :, :]
+    xw = on_axes(_bracket(grid.eta_axis, s), (0, 1, 2), 6)
+    vw = on_axes(_bracket(grid.v_axis, r), (3, 4, 5), 6)
+    data = spec.data * xw * vw
     out = PhaseField(grid, data, FieldTag.Spectral_eta_v)
     return out.to(field.tag)
 
@@ -141,7 +148,7 @@ def mixed_norm(field: Field, order: str) -> float:
     """Discrete  || <v>^r  || f(x, v) ||_{Lx^q}  ||_{Lv^p}  with cell weights."""
     p, r, q = parse_mixed_order(order)
     grid = field.grid
-    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** (r / 2.0)
+    vw2 = _bracket(grid.v_axis, r)
     inner_vals = np.empty(grid.nv)
     for iv, block in field.v_blocks():
         m = np.abs(block)
@@ -301,12 +308,11 @@ def xsb_norm(traj: Trajectory, s: float, b: float, cutoff_width: float = 0.25) -
     tau = np.fft.fftfreq(nt, d=dt)
 
     etav = eta_dot_v(grid)
-    xw2 = (1.0 + axis_sum(lambda a: grid.eta_axis(a) ** 2)) ** s
-    vw2 = (1.0 + axis_sum(lambda a: grid.v_axis(a) ** 2)) ** s
+    xw2 = on_axes(_bracket(grid.eta_axis, 2.0 * s), (0, 1, 2), 6)
+    vw2 = on_axes(_bracket(grid.v_axis, 2.0 * s), (3, 4, 5), 6)
     acc = 0.0
     for k in range(nt):  # stream over tau to bound memory
-        mod2 = (1.0 + (tau[k] + etav) ** 2) ** b
-        w2 = mod2 * xw2[:, :, :, None, None, None] * vw2[None, None, None, :, :, :]
+        w2 = _bracket(tau[k] + etav, 2.0 * b) * xw2 * vw2
         acc += float(np.sum(np.abs(fhat[k]) ** 2 * w2))
     dtau = 1.0 / T
     return math.sqrt(acc * dtau * grid.cell_eta * grid.cell_v)

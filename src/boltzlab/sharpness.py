@@ -94,27 +94,24 @@ class SharpnessFunctions:
     @classmethod
     def make(cls, M1, M2, N=None, N2=8) -> "SharpnessFunctions":
         M1, M2, N, N2 = _validate(M1, M2, N, N2)
-        fam = _tube_family(int(M2), int(N2), 0.75)
+        fam = _tube_family(int(M2), int(N2))
         return cls(M1, M2, N, N2, fam, default_bump())
 
     @property
     def J(self) -> int:
         return self.family.J
 
-    def phi_hat(self, eta1, v) -> np.ndarray:
-        eta1 = np.asarray(eta1, dtype=float)
-        v = np.asarray(v, dtype=float)
-        amp = self.M1 ** -1.5 * self.N ** -1.5
-        return amp * (self.bump.chi(np.linalg.norm(eta1, axis=-1) / self.M1)
+    def _balls(self, eta, v, radius: float) -> np.ndarray:
+        """The frequency ball of `radius` times the velocity ball, L^2-scaled."""
+        amp = radius ** -1.5 * self.N ** -1.5
+        return amp * (self.bump.chi(np.linalg.norm(eta, axis=-1) / radius)
                       * self.bump.chi(np.linalg.norm(v, axis=-1) / self.N))
 
+    def phi_hat(self, eta1, v) -> np.ndarray:
+        return self._balls(eta1, v, self.M1)
+
     def zeta_hat(self, eta, v) -> np.ndarray:
-        eta = np.asarray(eta, dtype=float)
-        v = np.asarray(v, dtype=float)
-        mx = max(self.M1, self.M2)
-        amp = mx ** -1.5 * self.N ** -1.5
-        return amp * (self.bump.chi(np.linalg.norm(eta, axis=-1) / mx)
-                      * self.bump.chi(np.linalg.norm(v, axis=-1) / self.N))
+        return self._balls(eta, v, max(self.M1, self.M2))
 
     def psi_hat(self, eta2, v2) -> np.ndarray:
         e2, w2, batch = _as_pairs(eta2, v2)
@@ -152,15 +149,15 @@ def sharpness_functions(M1, M2, N=None, N2=8) -> SharpnessFunctions:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _ball_correlation(M1: float, Mx: float, n_r: int = 385):
-    """C(r) = int chi(|y|/M1) chi(|y + r e|/Mx) dy on r in [0, M1+Mx]."""
+def _ball_correlation(M1: float, Mx: float):
+    """C(r) = int chi(|y|/M1) chi(|y + r e|/Mx) dy on 385 r in [0, M1+Mx]."""
     b = default_bump()
-    r = np.linspace(0.0, M1 + Mx, n_r)
+    r = np.linspace(0.0, M1 + Mx, 385)
     u, wu = gauss_on(-M1, M1, 96)          # coordinate along e
     rho, wrho = gauss_on(0.0, M1, 96)      # cylindrical radius
     cyl = b.chi(np.sqrt(u[:, None] ** 2 + rho[None, :] ** 2) / M1)
-    vals = np.empty(n_r)
-    for sl in blocks(n_r, u.size * rho.size):
+    vals = np.empty(r.size)
+    for sl in blocks(r.size, u.size * rho.size):
         dist = np.sqrt((u[None, :, None] + r[sl, None, None]) ** 2
                        + rho[None, None, :] ** 2)
         vals[sl] = 2.0 * np.pi * np.einsum(
@@ -169,12 +166,12 @@ def _ball_correlation(M1: float, Mx: float, n_r: int = 385):
 
 
 @lru_cache(maxsize=8)
-def _slice_transform(k_max: float, n_k: int = 2049):
-    """S_hat(k) = int_{-1}^{1} S(tau) cos(2 pi k tau) dtau on k in [0, k_max],
-    with S the squared plane marginal of the bump (its plane slices)."""
+def _slice_transform(k_max: float):
+    """S_hat(k) = int_{-1}^{1} S(tau) cos(2 pi k tau) dtau at 2049 k in
+    [0, k_max], S the squared plane marginal of the bump (its plane slices)."""
     tau, wt = gauss_on(0.0, 1.0, 96)
     s_vals = 2.0 * default_bump().plane_marginal(tau, squared=True) * wt
-    k = np.linspace(0.0, max(k_max, 1e-9), n_k)
+    k = np.linspace(0.0, max(k_max, 1e-9), 2049)
     return k, np.cos(2.0 * np.pi * np.outer(k, tau)) @ s_vals
 
 

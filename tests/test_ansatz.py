@@ -100,7 +100,7 @@ class TestSphereGrid:
 
 class TestTubeFamily:
     def test_default_build(self):
-        fam = TubeFamily.make(8, 8, 0.75)
+        fam = TubeFamily.make(8, 8)
         assert fam.J == 64**2
         assert fam.directions.shape == (fam.J, 3)
         eq = fam.equal_area_spacing
@@ -108,13 +108,11 @@ class TestTubeFamily:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="dyadic"):
-            TubeFamily.make(6, 8, 0.75)
+            TubeFamily.make(6, 8)
         with pytest.raises(ValueError, match="dyadic"):
-            TubeFamily.make(8, 3, 0.75)
-        with pytest.raises(ValueError, match="regularity"):
-            TubeFamily.make(8, 8, 0.4)
+            TubeFamily.make(8, 3)
         with pytest.raises(ValueError, match="factor 2"):
-            TubeFamily.make(4, 4, 0.75, J=3 * 256)
+            TubeFamily.make(4, 4, J=3 * 256)
 
     def test_tube_v_supports_disjoint_by_spacing(self):
         # any two tubes' velocity supports are disjoint when the angular
@@ -140,6 +138,8 @@ class TestAnsatzParams:
     def test_validation(self):
         with pytest.raises(ValueError, match="dyadic integer >= 4"):
             AnsatzParams.make(M=2)
+        with pytest.raises(ValueError, match="regularity"):
+            AnsatzParams.make(M=8, s=0.4)
         with pytest.raises(ValueError, match="delta must lie"):
             AnsatzParams.make(M=8, delta=0.3)
         with pytest.raises(ValueError, match="delta must not exceed"):
@@ -352,6 +352,11 @@ class TestTubeDensity:
         assert np.all(rho_b_eval(p8, 0.2, far) == 0.0)
         with pytest.raises(ValueError, match="time window"):
             rho_b_eval(p8, 0.3, np.zeros(3))
+
+    def test_radial_density_keeps_the_time_window(self, p8):
+        # the smear tables reach |t| = 0.3, past the window rho_b_eval keeps
+        with pytest.raises(ValueError, match="standing time window"):
+            rho_b_radial(p8, 0.27, [0.0, 0.1])
 
     @pytest.mark.parametrize("frac", [0.0, 0.5])
     def test_table_read_matches_interp_reference(self, p8, frac):

@@ -638,14 +638,6 @@ class TestDirectGain:
         with pytest.raises(ValueError, match="direct-quadrature guard"):
             gain_term_direct(f, f, CollisionConfig())
 
-    def test_guard_is_configurable(self):
-        grid = GridSpec((1, 1, 1), (2, 2, 2), Lx=1.0, Lv=4.0)
-        f = maxwellian(grid, temperature=4.0)
-        cfg = CollisionConfig(quadrature=SphereQuadrature.octahedral(),
-                              direct_cap=2)
-        out = gain_term_direct(f, f, cfg)
-        assert np.all(np.isfinite(out.data))
-
 
 class TestOracleEquivalence:
     def test_spectral_matches_direct_and_refines(self):

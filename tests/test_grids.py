@@ -612,12 +612,6 @@ class TestVSliced:
         full = fld.materialize()
         assert np.max(np.abs(full.data - ref)) == 0.0
 
-    def test_rejects_spectral(self):
-        g = GridSpec((8, 8, 8), (4, 4, 4), 4.0, 2.0, storage=Storage.VSliced)
-        with pytest.raises(ValueError, match="physical"):
-            VSlicedField(g, lambda iv: np.zeros((8, 8, 8)),
-                         tag=FieldTag.Spectral_eta_v)
-
 
 class TestVBlocks:
     def setup_method(self):

@@ -119,8 +119,11 @@ class TestFunctions:
             sharpness_integral(*scales)
 
     def test_shares_the_ansatz_tube_family(self):
-        # one cached J = 65536 family for both, not two builds
-        assert sharpness_functions(4, 16, None, 16).family is AnsatzParams.make(M=16).tube
+        # one cached J = 65536 family for both, not two builds: the direction
+        # grid is fixed by (M, N2), whatever the regularity s
+        fam = sharpness_functions(4, 16, None, 16).family
+        assert fam is AnsatzParams.make(M=16).tube
+        assert fam is AnsatzParams.make(M=16, s=0.8).tube
 
 
 class TestBallCorrelation:

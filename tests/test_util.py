@@ -1,9 +1,11 @@
 """What `import boltzlab` does to a fresh process: LAB_THREADS must reach the
-BLAS pools before numpy loads, and scipy.interpolate stays unloaded."""
+BLAS pools before numpy loads, scipy.interpolate stays unloaded, and a star
+import binds exactly the export list."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import boltzlab
@@ -60,3 +62,15 @@ def test_thread_cap_warns_when_numpy_loaded_first():
 def test_import_leaves_scipy_interpolate_unloaded():
     # its own process: other test modules import scipy.interpolate
     _run_capped("import boltzlab, sys; sys.exit('scipy.interpolate' in sys.modules)")
+
+
+def test_star_import_binds_exactly_the_export_list():
+    ns = {}
+    exec("from boltzlab import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(boltzlab.__all__)
+    assert len(ns) == 48
+    assert not any(isinstance(obj, types.ModuleType) for obj in ns.values())
+    # the package attribute is the operator, not the submodule
+    assert ns["collision"] is boltzlab.collision
+    assert callable(ns["collision"])
