@@ -649,7 +649,7 @@ def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
     """Pointwise sample of the cavity field: the outer product of its parts."""
     sheet, vfac = _cavity_parts(p, t, grid, beta)
     return PhaseField(replace(grid, storage=Storage.Full),
-                      np.multiply.outer(sheet.astype(np.complex128), vfac))
+                      np.multiply.outer(sheet, vfac))
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
@@ -661,7 +661,7 @@ def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
     (Nx, Nv) array.  v-nodes off the annulus stay exact zeros.
     """
     X, V = grid.x_points(), grid.v_points()
-    data = np.zeros((X.shape[0], V.shape[0]), dtype=np.complex128)
+    data = np.zeros((X.shape[0], V.shape[0]))
     for iv, j, w in zip(*p.tube.candidates(V)):
         data[:, iv] += (p.amp_b * w) * p.tube.support(X - t * V[iv], j, p.M,
                                                       1.0 / p.N2)
@@ -682,10 +682,11 @@ def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
 def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
                    beta=None) -> PhaseField:
     """The cavity transport leak v . grad_x f_r on the grid: the sum over a
-    of (d_a sheet) (v_a chi(|v|/N)), one (Nx, 3) @ (3, Nv) product of the
-    sheet's spectral derivatives (`grids.x_derivatives`) and the v-factor."""
+    of (d_a sheet) (v_a chi(|v|/N)), one real (Nx, 3) @ (3, Nv) product of
+    the sheet's spectral derivatives (`grids.x_derivatives`, real for the
+    real sheet) and the v-factor."""
     sheet, vfac = _cavity_parts(p, t, grid, beta)
-    grad = np.stack([d.reshape(-1) for d in x_derivatives(sheet, grid)], axis=1)
+    grad = np.stack([d.real.ravel() for d in x_derivatives(sheet, grid)], 1)
     grid = replace(grid, storage=Storage.Full)
     out = grad @ (grid.v_points().T * vfac.reshape(-1))
     return PhaseField(grid, out.reshape(grid.shape))
@@ -695,10 +696,12 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
                 beta=None) -> list[tuple[str, PhaseField]]:
     """The five signed residual fields of the combined ansatz.
 
-    d_t f_a + v.grad_x f_a - Q(f_a, f_a) = -F_err with F_err the sum of the
-    returned fields: the cavity transport leak, three loss couplings, and the
-    (negated) full gain term.  The two terms the construction absorbs exactly
-    -- tube transport and the cavity's loss against the tubes -- are absent.
+    With F_err their sum (transport leak and three loss couplings positive,
+    full gain negated), d_t f_a + v.grad_x f_a - Q(f_a, f_a) = F_err +
+    (4 pi - 1) f_r rho_b: tube transport vanishes, and the cavity decays at
+    rate rho_b (beta = int rho_b dt) while `loss_term` puts its loss against
+    the tubes, not returned, at 4 pi f_r rho_b (an open question of
+    convention: ROADMAP.md, "One loss convention").
     The transport leak comes from the gradient of the cavity's x-sheet
     (`transport_term`), the loss factors from the closed-form densities; the
     gain term runs through the spectral collision kernel on the caller's grid.

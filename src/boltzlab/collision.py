@@ -349,14 +349,14 @@ def _require_full_physical(f, name: str) -> None:
 def gain_term_spectral(f: PhaseField, g: PhaseField,
                        cfg: CollisionConfig) -> PhaseField:
     """Q+(f,g) of real f and g via the spectral sphere-quadrature form: the
-    half spectrum k3 <= n3/2 and one irfftn, so the output is real.  Raises
-    ValueError if f or g has a nonzero imaginary part."""
+    half spectrum k3 <= n3/2 and one irfftn into a float64 field.  Raises
+    ValueError if f or g is complex with a nonzero imaginary part."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
     same = g is f or g.data is f.data
     for h in (f,) if same else (f, g):
         _require_full_physical(h, "gain")
-        if np.count_nonzero(h.data.imag):
+        if np.iscomplexobj(h.data) and np.count_nonzero(h.data.imag):
             raise ValueError("the spectral gain takes real fields only")
     grid = f.grid
     quad = cfg.quadrature
@@ -379,7 +379,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     # the inverse's edge sign and 1/cell on the half lattice
     inv_sign = _edge_sign((1,) + grid.nv, (1, 2, 3),
                           1.0 / grid.cell_v)[..., :half[2]]
-    out = np.empty((nxtot, nvtot), dtype=np.complex128)
+    out = np.empty((nxtot, nvtot))
 
     # one stacked padded half row holds about 8 Nv complex entries
     for sl in blocks(nxtot, 16 * nvtot):
@@ -504,7 +504,7 @@ def maxwellian(grid: GridSpec, rho: float = 1.0, temperature: float = 1.0,
         raise ValueError("temperature must be positive")
     mean = np.asarray(mean, dtype=float)
     amp = rho * (2.0 * np.pi * temperature) ** -1.5
-    data = np.full(grid.shape, amp, dtype=np.complex128)
+    data = np.full(grid.shape, amp)
     for a in range(3):
         prof = np.exp(-((grid.v_axis(a) - mean[a]) ** 2) / (2.0 * temperature))
         data *= on_axes(prof, (3 + a,), 6)

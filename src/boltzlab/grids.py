@@ -135,16 +135,13 @@ class GridSpec:
         return np.array([1.0 / (2 * self.Lx)] * 3)
 
     @property
-    def d_xi(self) -> np.ndarray:
-        return np.array([1.0 / (2 * self.Lv)] * 3)
-
-    @property
     def cell_eta(self) -> float:
         return float(np.prod(self.d_eta))
 
     @property
     def cell_xi(self) -> float:
-        return float(np.prod(self.d_xi))
+        d = 1.0 / (2 * self.Lv)
+        return d * d * d
 
     # -- axes ----------------------------------------------------------------
     def x_axis(self, a: int) -> np.ndarray:
@@ -180,9 +177,24 @@ class GridSpec:
         return np.stack([c.ravel() for c in X], axis=-1)
 
 
+def _samples(data, tag: FieldTag, shape: tuple[int, ...]) -> np.ndarray:
+    """A field's stored samples, C-contiguous: float64 for real data under
+    Physical_xv, else complex128.  Raises unless they are finite and of the
+    grid's `shape`."""
+    real = tag is FieldTag.Physical_xv and not np.iscomplexobj(data)
+    data = np.ascontiguousarray(data, np.float64 if real else np.complex128)
+    if data.shape != shape:
+        raise ValueError(f"data shape {data.shape} != grid shape {shape}")
+    if not np.all(np.isfinite(data.view(np.float64))):  # 1.4x faster on complex
+        raise ValueError("field contains non-finite samples")
+    return data
+
+
 @dataclass
 class PhaseField:
-    """Complex samples over the 6D grid, indexed (x triple, v triple)."""
+    """Samples over the 6D grid, indexed (x triple, v triple): float64 for a
+    physical field of real data, else complex128.  `to()` and `transform`
+    return complex fields; arithmetic promotes as numpy does."""
 
     grid: GridSpec
     data: np.ndarray
@@ -191,11 +203,7 @@ class PhaseField:
     def __post_init__(self):
         if self.grid.storage is not Storage.Full:
             raise ValueError("PhaseField requires Full storage (see VSlicedField)")
-        self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if self.data.shape != self.grid.shape:
-            raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(self.data.view(np.float64))):
-            raise ValueError("field contains non-finite samples")
+        self.data = _samples(self.data, self.tag, self.grid.shape)
 
     def copy(self) -> "PhaseField":
         return PhaseField(self.grid, self.data.copy(), self.tag)
@@ -216,7 +224,9 @@ class PhaseField:
 
     def l2(self) -> float:
         """Physically weighted L2 norm in the current representation."""
-        w = _cell_weight(self.grid, self.tag)
+        g, tag = self.grid, self.tag
+        w = ((g.cell_eta if tag.x_spectral else g.cell_x)
+             * (g.cell_xi if tag.v_spectral else g.cell_v))
         return math.sqrt(w * float(np.sum(np.abs(self.data) ** 2)))
 
     def __add__(self, other: "PhaseField") -> "PhaseField":
@@ -236,8 +246,9 @@ class PhaseField:
 class VSlicedField:
     """Streaming stand-in for PhaseField: one x-grid per v point, produced on demand.
 
-    `slice_fn(iv)` receives a v-axis index triple and must return the complex
-    x-grid (shape grid.nx) of the field at that v point.  The stored field is
+    `slice_fn(iv)` receives a v-axis index triple and must return the finite
+    x-grid (shape grid.nx) of the field at that v point, stored by PhaseField's
+    dtype rule (`materialize` is complex when any slice is).  The field is
     always physical (the class attribute tag is Physical_xv); spectral
     collision work requires Full storage.  Consumers read either storage
     through `v_blocks`, which here yields one nx + (1, 1, 1) block per v point.
@@ -250,10 +261,7 @@ class VSlicedField:
         self._slice_fn = slice_fn
 
     def v_slice(self, iv: tuple[int, int, int]) -> np.ndarray:
-        out = np.asarray(self._slice_fn(tuple(iv)), dtype=np.complex128)
-        if out.shape != self.grid.nx:
-            raise ValueError("v_slice returned wrong shape")
-        return out
+        return _samples(self._slice_fn(tuple(iv)), self.tag, self.grid.nx)
 
     def v_blocks(self, tag: FieldTag = FieldTag.Physical_xv
                  ) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
@@ -270,8 +278,10 @@ class VSlicedField:
 
     def materialize(self) -> PhaseField:
         grid = replace(self.grid, storage=Storage.Full)
-        data = np.empty(grid.shape, dtype=np.complex128)
+        data = np.empty(grid.shape)
         for iv, block in self.v_blocks():
+            if np.iscomplexobj(block) and not np.iscomplexobj(data):
+                data = data.astype(np.complex128)
             data[(slice(None),) * 3 + iv] = block
         return PhaseField(grid, data, self.tag)
 
@@ -281,12 +291,6 @@ def _check_compatible(a: PhaseField, b: PhaseField) -> None:
         raise ValueError("grid mismatch")
     if a.tag != b.tag:
         raise ValueError(f"tag mismatch: {a.tag} vs {b.tag}")
-
-
-def _cell_weight(grid: GridSpec, tag: FieldTag) -> float:
-    wx = grid.cell_eta if tag.x_spectral else grid.cell_x
-    wv = grid.cell_xi if tag.v_spectral else grid.cell_v
-    return wx * wv
 
 
 @dataclass(frozen=True)
@@ -529,12 +533,6 @@ def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
 # free transport / hyperbolic Schrodinger propagator
 # ---------------------------------------------------------------------------
 
-def transport_multiplier(grid: GridSpec, t: float) -> list[np.ndarray]:
-    """Per-axis-pair factors of exp(-2*pi*i t eta.v) on the (eta, v) grid."""
-    return [np.exp(-2j * np.pi * t * np.outer(grid.eta_axis(a), grid.v_axis(a)))
-            for a in range(3)]
-
-
 def free_transport(field: PhaseField, t: float) -> PhaseField:
     """Exact propagator f(t, x, v) = f0(x - v t, v) (periodic wrap).
 
@@ -545,8 +543,9 @@ def free_transport(field: PhaseField, t: float) -> PhaseField:
         raise ValueError("free_transport expects Physical_xv or Spectral_eta_v input")
     if t == 0.0:
         return field.copy()
-    ph = [on_axes(m, (a, 3 + a), 6)
-          for a, m in enumerate(transport_multiplier(field.grid, t))]
+    g = field.grid
+    ph = [on_axes(np.exp(-2j * np.pi * t * np.outer(g.eta_axis(a), g.v_axis(a))),
+                  (a, 3 + a), 6) for a in range(3)]
     # one copy (to() returns a Spectral_eta_v field itself), two in place
     data = field.to(FieldTag.Spectral_eta_v).data * ph[0]
     data *= ph[1]
@@ -579,7 +578,7 @@ def gaussian_oracle(grid: GridSpec,
     if np.any(reach_x >= grid.Lx) or np.any(reach_v >= grid.Lv):
         raise ValueError("box too small for Gaussian support (tail mass > 1e-10)")
 
-    data = np.full(grid.shape, 1.0, dtype=np.complex128)
+    data = np.ones(grid.shape)
     for a in range(3):
         x = grid.x_axis(a)
         v = grid.v_axis(a)

@@ -10,7 +10,9 @@ Layout (all little-endian):
     45      ...   complex128 samples, re/im interleaved, x-axes fastest
                   (Fortran order over the (nx1,nx2,nx3,nv1,nv2,nv3) array)
 
-Round-trips are bit-exact.  The loader validates the header before touching
+Round-trips are bit-exact.  A float64 field is written with imaginary part
++0.0: the bytes of the same data held as complex128, Full or VSliced; the
+loader returns complex128.  The loader validates the header before touching
 the payload: a byte-swapped header produces implausible axis sizes and is
 reported as an endianness problem rather than a memory error.
 """
@@ -32,10 +34,6 @@ _MAX_AXIS = 1 << 24  # any larger size means the header bytes are garbage
 
 class KLBFormatError(ValueError):
     pass
-
-
-def _pack_header(grid: GridSpec, tag: FieldTag) -> bytes:
-    return HEADER.pack(MAGIC, *grid.nx, *grid.nv, grid.Lx, grid.Lv, tag.value)
 
 
 def _parse_header(raw: bytes, path: str) -> tuple[tuple[int, ...], tuple[int, ...], float, float, FieldTag]:
@@ -64,7 +62,8 @@ def dump_field(field: Union[PhaseField, VSlicedField], path: str) -> None:
     """Write a field to a KLB1 file (streams VSliced fields one x-grid at a time)."""
     grid = field.grid
     with open(path, "wb") as fh:
-        fh.write(_pack_header(grid, field.tag))
+        fh.write(HEADER.pack(MAGIC, *grid.nx, *grid.nv, grid.Lx, grid.Lv,
+                             field.tag.value))
         for _, block in field.v_blocks(field.tag):
             fh.write(block.ravel(order="F").astype("<c16").tobytes())
 
@@ -106,5 +105,4 @@ def load_field(path: str, full_cap: int | None = None) -> PhaseField:
         flat = np.fromfile(fh, dtype="<c16", count=info["samples"])
     if flat.size != info["samples"]:
         raise KLBFormatError(f"{path}: payload shorter than header promises")
-    data = flat.astype(np.complex128).reshape(nx + nv, order="F")
-    return PhaseField(grid, data, FieldTag[info["tag"]])
+    return PhaseField(grid, flat.reshape(nx + nv, order="F"), FieldTag[info["tag"]])

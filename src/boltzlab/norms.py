@@ -118,7 +118,7 @@ def grad_x_magnitude(field: PhaseField) -> PhaseField:
     """|grad_x f| pointwise (Euclidean length over the three x-derivatives)."""
     data = field.to(FieldTag.Physical_xv).data
     acc = sum(np.abs(d) ** 2 for d in x_derivatives(data, field.grid))
-    return PhaseField(field.grid, np.sqrt(acc).astype(complex), FieldTag.Physical_xv)
+    return PhaseField(field.grid, np.sqrt(acc), FieldTag.Physical_xv)
 
 
 # ---------------------------------------------------------------------------

@@ -807,6 +807,21 @@ class TestResidualTerms:
         # the cavity is real, and so is its transport leak
         assert np.max(np.abs(got.imag)) <= 1e-14 * scale
 
+    def test_traced_peak_within_nine_real_fields(self, p4):
+        # f_r, f_b, f_a and the five outputs are float64 fields, eight at
+        # the peak (8.2 fields of float64; 16.3 with complex128 storage)
+        grid = GridSpec((16,) * 3, (4,) * 3, Lx=1.9 / p4.M, Lv=1.25 * p4.N2)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        f_err_terms(p4, -0.05, grid, cfg)  # caches the gain operators
+        tracemalloc.start()
+        try:
+            terms = f_err_terms(p4, -0.05, grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [f.data.dtype for _, f in terms] == [np.float64] * 5
+        assert peak <= 9 * grid.total_points * 8
+
     def test_transport_zero_on_residual_grid(self, p4, caches):
         # chi(|v|/N) vanishes at every v node but v = 0, where v . grad_x f = 0
         _, cache = caches[4]

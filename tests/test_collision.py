@@ -331,18 +331,21 @@ class TestSpectralGain:
         grid = oracle_grid()
         f = smooth_blob(grid, np.random.default_rng(12))
         gain = gain_term_spectral(f, f, CollisionConfig())
-        assert np.all(gain.data.imag == 0)
+        assert gain.data.dtype == np.float64
 
     @pytest.mark.parametrize("interp", [Interpolation.Trilinear,
                                         Interpolation.Trig])
     def test_rejects_nonzero_imaginary_part(self, interp):
         # the half lattice would read a complex field half-wrong
+        # whether its partner is stored complex or float64
         grid = oracle_grid()
         f = smooth_blob(grid, np.random.default_rng(21))
         g = PhaseField(grid, f.data * (1.0 + 1e-12j), FieldTag.Physical_xv)
+        r = PhaseField(grid, f.data.real, FieldTag.Physical_xv)
+        assert r.data.dtype == np.float64
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4),
                               interpolation=interp)
-        for args in ((f, g), (g, f), (g, g)):
+        for args in ((f, g), (g, f), (g, g), (r, g), (g, r)):
             with pytest.raises(ValueError, match="real fields"):
                 gain_term_spectral(*args, cfg)
 
@@ -681,6 +684,15 @@ class TestCollisionOperator:
         gain = gain_term_spectral(M, M, CollisionConfig())
         assert (np.linalg.norm(q.data.ravel())
                 / np.linalg.norm(gain.data.ravel())) < 5e-2
+
+    def test_relaxation_step_stays_float64(self):
+        # the relaxation step f + dt Q(f, f) of two displaced Maxwellians
+        grid = GridSpec((1, 1, 1), (16, 16, 16), Lx=1.0, Lv=6.0)
+        f = (maxwellian(grid, 0.5, 0.8, (1.0, 0.0, 0.0))
+             + maxwellian(grid, 0.5, 0.9, (-1.0, 0.0, 0.0)))
+        q = collision(f, f, CollisionConfig(
+            quadrature=SphereQuadrature.fibonacci(8)))
+        assert [h.data.dtype for h in (f, q, f + q * 0.01)] == [np.float64] * 3
 
     def test_bilinear_in_each_slot(self):
         grid = oracle_grid()

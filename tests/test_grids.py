@@ -16,13 +16,14 @@ from boltzlab import (
     VSlicedField,
     free_transport,
     gaussian_oracle,
+    moments,
     rescale,
     transform,
 )
 from boltzlab import grids
 from boltzlab.grids import (axis_sum, blocks, eta_dot_v, lattice_read,
                             lattice_stencil, on_axes, uniform_read)
-from boltzlab.norms import xsb_norm
+from boltzlab.norms import mixed_norm, xsb_norm
 
 
 def small_grid():
@@ -225,6 +226,23 @@ class TestFiniteness:
         assert f.data.dtype == np.complex128 and f.tag is FieldTag.Spectral_eta_v
         with pytest.raises(ValueError, match="grid shape"):
             PhaseField(g, np.ones(g.nx), FieldTag.Physical_xv)
+
+    @pytest.mark.parametrize("dtype, tag, want", [
+        (np.float64, FieldTag.Physical_xv, np.float64),
+        (np.float32, FieldTag.Physical_xv, np.float64),
+        (np.int64, FieldTag.Physical_xv, np.float64),
+        (np.complex64, FieldTag.Physical_xv, np.complex128),
+        (np.complex128, FieldTag.Physical_xv, np.complex128),
+        (np.float64, FieldTag.Spectral_x_xi, np.complex128),
+        (np.float64, FieldTag.Spectral_eta_xi, np.complex128),
+    ])
+    def test_storage_dtype_rule(self, dtype, tag, want):
+        # a physical field of real data stores float64; complex data and
+        # every spectral tag store complex128
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0)
+        f = PhaseField(g, np.ones(g.shape, dtype), tag)
+        assert f.data.dtype == want and f.data.flags.c_contiguous
+        assert np.all(f.data == 1)
 
 
 class TestDyadic:
@@ -611,6 +629,38 @@ class TestVSliced:
         fld = VSlicedField(g, lambda iv: ref[:, :, :, iv[0], iv[1], iv[2]])
         full = fld.materialize()
         assert np.max(np.abs(full.data - ref)) == 0.0
+
+    def test_slices_follow_the_dtype_rule(self):
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0,
+                     storage=Storage.VSliced)
+        real = VSlicedField(g, lambda iv: np.ones(g.nx, np.int64))
+        assert real.v_slice((0, 0, 0)).dtype == np.float64
+        assert real.materialize().data.dtype == np.float64
+        # the last slice in file order is complex: the whole field becomes
+        # complex, the real slices before it kept
+        mixed = VSlicedField(
+            g, lambda iv: np.full(g.nx, 1j if iv == (1, 1, 1) else 2.0))
+        full = mixed.materialize().data
+        assert full.dtype == np.complex128
+        assert full[0, 0, 0, 1, 1, 1] == 1j and full[0, 0, 0, 0, 1, 1] == 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_slice_raises_in_every_consumer(self, bad):
+        # a streamed field gets the scan of the public constructor
+        g = GridSpec((2, 2, 2), (2, 2, 2), Lx=1.0, Lv=1.0,
+                     storage=Storage.VSliced)
+
+        def slice_fn(iv):
+            out = np.ones(g.nx)
+            if iv == (1, 0, 1):
+                out[0, 1, 0] = bad
+            return out
+
+        fld = VSlicedField(g, slice_fn)
+        for read in (lambda: mixed_norm(fld, "Lv2_Lx2"), lambda: moments(fld),
+                     fld.materialize):
+            with pytest.raises(ValueError, match="non-finite"):
+                read()
 
 
 class TestVBlocks:

@@ -1,6 +1,7 @@
 """KLB1 field file round-trips and header validation."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,3 +106,21 @@ def test_vsliced_dump_streams(tmp_path):
     dump_field(fld, p)
     back = load_field(p)
     assert np.array_equal(back.data, ref)
+
+
+def test_real_field_bytes_match_complex_and_vsliced(tmp_path):
+    # a float64 field is written with imaginary part +0.0: the bytes of the
+    # same data held as complex128, and of its VSliced twin
+    g = GridSpec((4, 4, 4), (4, 2, 2), Lx=2.0, Lv=1.0)
+    ref = np.random.default_rng(8).standard_normal(g.shape)
+    real = PhaseField(g, ref)
+    assert real.data.dtype == np.float64
+    twin = VSlicedField(replace(g, storage=Storage.VSliced),
+                        lambda iv: ref[:, :, :, iv[0], iv[1], iv[2]])
+    dumps = []
+    for i, fld in enumerate((real, PhaseField(g, ref + 0j), twin)):
+        p = str(tmp_path / f"{i}.klb")
+        dump_field(fld, p)
+        dumps.append(open(p, "rb").read())
+    assert dumps[0] == dumps[1] == dumps[2]
+    assert np.array_equal(load_field(str(tmp_path / "0.klb")).data, ref)
