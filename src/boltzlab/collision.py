@@ -5,24 +5,22 @@ is computed in the spectral representation
 
     Qhat+(xi) = integral_{S^2} fv(xi - (xi.w) w) gv((xi.w) w) dw,
 
-(fv, gv the forward v-transforms) by sphere quadrature over deflection
+(fv, gv the continuum v-spectra) by sphere quadrature over deflection
 directions w, with the off-grid evaluation points read either trilinearly
-on a 2x zero-padded spectral lattice (default) or by exact trigonometric
-sums (oracle runs).  f and g must be real, so Qhat+ is Hermitian: only the
+on the lattice k/(4Lv) of the 2x zero-padded box (default) or by exact
+trigonometric sums (oracle runs), only on rows where both points lie in
+the dealias ball.  f and g must be real, so Qhat+ is Hermitian: only the
 half lattice k3 <= n3/2 is read, and one irfftn inverts it.  The trilinear
 reads are cached operators (`_gain_operators`): per node q, one real CSR
-pair (S+_q, S-_q), so that
-
-    Qhat+ = sum_q (S+_q [F; conj F]) (S-_q [G; conj G]),
-
-F, G the raw rfft halves of the padded lattice (one pruned transform per x
-block, taken once when g is f).  x rows and trigonometric read points run
+pair (S+_q, S-_q), so that Qhat+ = sum_q (S+_q F) (S-_q G), F and G the
+spectra on the box [-K, K]^3 that holds the ball (`_box_spectrum`, taken
+once per x block when g is f).  x rows and trigonometric read points run
 in `grids.blocks`.  A direct physical-space quadrature — for each output
 velocity, f and g read at the outgoing pair of every collision partner on
-the lattice — serves as a brute-force cross-check on small v-grids.  Both trilinear paths read through the one zero-extended
-multilinear stencil `grids.lattice_stencil`.  Input supports are confined
-to the ball of radius (1 - dealias_margin) * Nyquist so that no
-evaluation wraps around.
+the lattice — serves as a brute-force cross-check on small v-grids.  Both
+trilinear paths read through the one zero-extended multilinear stencil
+`grids.lattice_stencil`.  Input supports are confined to the ball of
+radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
 """
 
 from __future__ import annotations
@@ -221,43 +219,36 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
     return (1.0 - margin) * nyq
 
 
-def _padded_spectrum(chunk: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Raw DFT of the real part of (c, nv) physical data zero-padded to the
-    doubled box [-2Lv, 2Lv) (same Nyquist, halved spectral spacing 1/(4Lv)):
-    its rfft half F, k3 <= n3 in FFT order, chunk axis last, shape (2n1, 2n2,
-    n3 + 1, c), as the float64 view of [F; conj F] that the operators read.
-    Edge phase and cell volume are left to them.  An rfft of the zero-padded
-    core rows writes into the zeroed half F, which axes 1 and 0 transform in
-    place, each 1-D FFT only over the slabs that are not all zeros: numpy,
-    since its `out=` writes each pass into the slab (scipy passes copied
-    back cost 3x on 8^3 blocks); conj F is written once into the other half."""
-    n1, n2, n3 = grid.nv
-    c = chunk.shape[0]
-    core = tuple(slice(n // 2, n // 2 + n) for n in grid.nv)
-    real = np.zeros((n1, n2, 2 * n3, c))
-    real[:, :, core[2]] = np.moveaxis(chunk.real, 0, -1)
-    out = np.empty((2, 2 * n1, 2 * n2, n3 + 1, c), dtype=np.complex128)
-    spec = out[0]
-    spec.fill(0.0)
-    np.fft.rfft(real, axis=2, out=spec[core[:2]])
-    for a in (1, 0):
-        slab = spec[core[:a]]
-        np.fft.fft(slab, axis=a, out=slab)
-    np.conjugate(spec, out=out[1])
-    return out.reshape(-1, c).view(np.float64)
+def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
+    """Continuum spectra sum_v f(v) exp(-2 pi i xi.v) of the (c, nv) real
+    chunk at xi = k/(4Lv), k in the box [-K, K]^3: three GEMMs with the
+    (2K+1, n_a) phase factors of `_gain_operators`, the last axis contracted
+    first through a float64 view of its factor.  The float64 view (P, 2c) of
+    the (P, c) complex result, box points in C order, is what the operators
+    read; the cell volume is left to them."""
+    e0, e1, e2 = factors
+    c, n1, n2, n3 = chunk.shape
+    k1, k2 = e1.shape[0], e2.shape[0]
+    t = chunk.reshape(-1, n3) @ np.ascontiguousarray(e2.T).view(np.float64)
+    t = t.view(np.complex128).reshape(c, n1, n2, k2).transpose(2, 0, 1, 3)
+    t = (e1 @ t.reshape(n2, -1)).reshape(k1, c, n1, k2).transpose(2, 0, 3, 1)
+    return (e0 @ t.reshape(n1, -1)).reshape(-1, c).view(np.float64)
 
 
 def _node_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
-    """Per quadrature node w, (w_q, (xi+, in+), (xi-, in-)): the read points
+    """Per quadrature node w, (w_q, xi+, xi-, live): the read points
     xi+ = xi - (xi.w)w and xi- = (xi.w)w of every xi (FFT order) of the half
-    lattice k3 <= n3/2, each with its mask of the dealias ball."""
+    lattice k3 <= n3/2, and the rows where both lie in the dealias ball, the
+    only rows whose product is not zero."""
     xi3 = grid.xi_axis(2)[:grid.nv[2] // 2 + 1]
     mesh = np.meshgrid(grid.xi_axis(0), grid.xi_axis(1), xi3, indexing="ij")
     xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (n1 n2 (n3/2 + 1), 3)
     for w_q, omega in zip(quad.weights, quad.nodes):
         xim = (xi @ omega)[:, None] * omega[None, :]
-        yield w_q, *((pts, np.sum(pts**2, axis=1) <= radius**2)
-                     for pts in (xi - xim, xim))
+        xip = xi - xim
+        live = ((np.sum(xip**2, axis=1) <= radius**2)
+                & (np.sum(xim**2, axis=1) <= radius**2))
+        yield w_q, xip, xim, live
 
 
 def _read_operator(idx: np.ndarray, w: np.ndarray,
@@ -276,44 +267,45 @@ def _read_operator(idx: np.ndarray, w: np.ndarray,
 
 @functools.lru_cache(maxsize=4)
 def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
-                    radius: float) -> tuple[tuple[sparse.csr_array, ...], ...]:
-    """Per quadrature node q, the real CSR pair (S+_q, S-_q) of shape
-    (n1 n2 (n3/2 + 1), 2 Ph) whose products with the float64 view of the
-    stacked [F; conj F] (F the Ph-point rfft half of `_padded_spectrum`)
-    give the multilinear reads at xi+ = xi - (xi.w)w and xi- = (xi.w)w for
-    every xi of the half lattice k3 <= n3/2 (FFT order).
+                    radius: float) -> tuple[tuple, tuple]:
+    """(factors, ops): the three (2K+1, n_a) phase factors of `_box_spectrum`
+    and, per quadrature node q, the real CSR pair (S+_q, S-_q) of shape
+    (n1 n2 (n3/2 + 1), (2K+1)^3) whose products with the float64 view of a
+    box spectrum give the multilinear reads at xi+ = xi - (xi.w)w and
+    xi- = (xi.w)w for every xi of the half lattice k3 <= n3/2 (FFT order).
 
-    The weights fold in the node weight w_q and cell_v**2 (+ side only), the
-    dealias ball at the read point and the (-1)^k edge sign of each corner;
-    the columns fold in the fftshift that centres the padded lattice, and a
-    corner with -n3 < k3 < 0 reads conj F(-k), column Ph + index(-k mod 2n).
-    So (S+ F)(S- G) equals the product of the reads of the shifted,
-    ball-masked continuum spectra, and a time loop pays the build once per
-    (grid, nodes, weights, radius); the four latest sets stay cached."""
+    The reads run on the lattice xi = k/(4Lv), k in [-n, n), and weigh only
+    corners in the dealias ball, whose largest |k_a| is K; a column is the
+    C-order box index of k + K.  The weights fold in the node weight w_q
+    and cell_v**2 (+ side only), the ball, and the joint mask of the row:
+    where one read leaves the ball both rows are empty.  A time loop pays
+    the build once per (grid, nodes, weights, radius); the four latest sets
+    stay cached."""
     quad = SphereQuadrature(np.frombuffer(nodes).reshape(-1, 3),
                             np.frombuffer(weights))
     nv = grid.nv
     pshape = tuple(2 * n for n in nv)
-    half = pshape[:2] + (nv[2] + 1,)
     step = 1.0 / (4.0 * grid.Lv)
     origin = -np.array(nv) * step
-    # centred lattice index -> column of the stacked rfft half [F; conj F]
-    k = np.meshgrid(*(np.arange(2 * n) - n for n in nv), indexing="ij")
-    conj = (k[2] < 0) & (k[2] > -nv[2])
-    column = (np.ravel_multi_index(tuple(np.where(conj, -k[a], k[a]) % pshape[a]
-                                         for a in range(3)), half)
-              + conj * math.prod(half)).ravel()
-    sign = np.fft.fftshift(_edge_sign(pshape, (0, 1, 2))).ravel()
-    r2 = axis_sum(lambda a: ((np.arange(2 * nv[a]) - nv[a]) * step) ** 2)
-    ball = (r2 <= radius**2).ravel()
+    k = np.indices(pshape).reshape(3, -1) - np.array(nv)[:, None]
+    ball = np.sum((k * step) ** 2, axis=0) <= radius**2
+    K = int(np.max(np.abs(k[:, ball])))
+    # a clipped column lies off the ball, where every read weighs zero
+    column = np.ravel_multi_index(k + K, (2 * K + 1,) * 3, mode="clip")
+    box = np.arange(-K, K + 1) * step
+    factors = tuple(np.exp(-2j * np.pi * np.outer(box, grid.v_axis(a)))
+                    for a in range(3))
+    for e in factors:
+        e.flags.writeable = False
 
-    def read(pts, inside, scale):
+    def read(pts, live, scale):
         idx, w = lattice_stencil(pts, origin, step, pshape)
-        w = w * (ball[idx] & inside) * sign[idx] * scale
-        return _read_operator(column[idx], w, 2 * math.prod(half))
+        w = w * (ball[idx] & live) * scale
+        return _read_operator(column[idx], w, (2 * K + 1) ** 3)
 
-    return tuple((read(*plus, w_q * grid.cell_v**2), read(*minus, 1.0))
-                 for w_q, plus, minus in _node_reads(grid, quad, radius))
+    return factors, tuple(
+        (read(xip, live, w_q * grid.cell_v**2), read(xim, live, 1.0))
+        for w_q, xip, xim, live in _node_reads(grid, quad, radius))
 
 
 def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
@@ -367,11 +359,12 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     trilinear = cfg.interpolation is Interpolation.Trilinear
 
     if trilinear:
-        ops = _gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
-                              radius)
+        factors, ops = _gain_operators(grid, quad.nodes.tobytes(),
+                                       quad.weights.tobytes(), radius)
     else:
         # exact forward-transform samples F(xi) = sum_v f(v) exp(-2 pi i xi.v)
-        # * cell at each node's (xi+, xi-) points, zero outside the ball
+        # * cell at each node's (xi+, xi-) points of the live rows, zero
+        # elsewhere
         vaxes = [grid.v_axis(a) for a in range(3)]
         reads = list(_node_reads(grid, quad, radius))
 
@@ -381,23 +374,24 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
                           1.0 / grid.cell_v)[..., :half[2]]
     out = np.empty((nxtot, nvtot))
 
-    # one stacked padded half row holds about 8 Nv complex entries
+    # one box spectrum row holds (2K+1)^3 complex entries: at most about
+    # 16 Nv float64 (margin 0, K = n)
     for sl in blocks(nxtot, 16 * nvtot):
         rows = sl.stop - sl.start
         if trilinear:
-            # the real operators act on the float64 view of [F; conj F]:
-            # 2c real columns, no complex copy of the matrices
-            Fl = _padded_spectrum(fd[sl], grid)
-            Gl = Fl if same else _padded_spectrum(gd[sl], grid)
+            # the real operators act on the float64 view of the box
+            # spectrum: 2c real columns, no complex copy of the matrices
+            Fl = _box_spectrum(fd[sl], factors)
+            Gl = Fl if same else _box_spectrum(gd[sl], factors)
             acc = np.zeros((math.prod(half), rows), dtype=np.complex128)
             for sp, sm in ops:
                 acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
             acc = acc.T
         else:
             acc = np.zeros((rows, math.prod(half)), dtype=np.complex128)
-            for w_q, (xip, inp), (xim, inm) in reads:
-                acc += (w_q * _trig_read(fd[sl], vaxes, xip, inp, -1.0, grid.cell_v)
-                        * _trig_read(gd[sl], vaxes, xim, inm, -1.0, grid.cell_v))
+            for w_q, xip, xim, live in reads:
+                acc += (w_q * _trig_read(fd[sl], vaxes, xip, live, -1.0, grid.cell_v)
+                        * _trig_read(gd[sl], vaxes, xim, live, -1.0, grid.cell_v))
         out[sl] = sfft.irfftn(acc.reshape((rows,) + half) * inv_sign, s=grid.nv,
                               axes=(1, 2, 3), overwrite_x=True).reshape(rows, nvtot)
 

@@ -98,6 +98,12 @@ def reference_spectrum(f, g, cfg):
     return acc
 
 
+def box_operators(grid, margin, quad=SphereQuadrature.fibonacci(1)):
+    """(factors, ops) of the spectral gain at a dealias margin."""
+    return C._gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
+                             C._dealias_radius(grid, margin))
+
+
 def reference_inverse(acc, grid):
     """The real part of the inverse v-transform of (Nx, Nv) spectra in FFT
     order, as an explicit sum; shape grid.shape."""
@@ -509,21 +515,33 @@ class TestGainOperators:
         f = smooth_blob(grid, np.random.default_rng(45))
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4))
         gain_term_spectral(f, f, cfg)
-        ops = C._gain_operators(grid, cfg.quadrature.nodes.tobytes(),
-                                cfg.quadrature.weights.tobytes(),
-                                C._dealias_radius(grid, cfg.dealias_margin))
+        _, ops = C._gain_operators(grid, cfg.quadrature.nodes.tobytes(),
+                                   cfg.quadrature.weights.tobytes(),
+                                   C._dealias_radius(grid, cfg.dealias_margin))
         assert len(ops) == 4
         for pair in ops:
             for op in pair:
-                # the half output lattice k3 <= 4 by the stacked rfft
-                # halves [F; conj F] of the 16^3 padded lattice
-                assert op.shape == (8 * 8 * 5, 2 * 16 * 16 * 9)
+                # the half output lattice k3 <= 4 by the box [-5, 5]^3 that
+                # holds the dealias ball of the 16^3 padded lattice
+                assert op.shape == (8 * 8 * 5, 11**3)
                 for arr in (op.data, op.indices, op.indptr):
                     assert not arr.flags.writeable
 
     def test_cache_is_small_and_bounded(self):
         maxsize = C._gain_operators.cache_parameters()["maxsize"]
         assert maxsize is not None and 1 <= maxsize <= 8
+
+    @pytest.mark.parametrize("nx, nv, Lv, n, nnz", [
+        ((16, 16, 16), (8, 8, 8), 5.0, 8, 8561),  # the residual grid
+        ((1, 1, 1), (16, 16, 16), 6.0, 64, 527263)])  # the relax grid
+    def test_sides_share_their_live_rows(self, nx, nv, Lv, n, nnz):
+        # a row is read only where both xi+ and xi- lie in the dealias ball,
+        # so S+ and S- of every node have the same non-empty rows
+        grid = GridSpec(nx, nv, Lx=1.0, Lv=Lv, full_cap=24**6)
+        _, ops = box_operators(grid, 1.0 / 3.0, SphereQuadrature.fibonacci(n))
+        for sp, sm in ops:
+            assert np.array_equal(np.diff(sp.indptr) > 0, np.diff(sm.indptr) > 0)
+        assert sum(op.nnz for pair in ops for op in pair) == nnz
 
     @pytest.mark.parametrize("nx, nv, Lv", [((16, 8, 8), (8, 8, 8), 4.0),
                                             ((1, 1, 1), (16, 16, 16), 6.0)])
@@ -548,8 +566,9 @@ class TestGainOperators:
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8),
                               interpolation=interp)
         whole = gain_term_spectral(f, g, cfg).data
-        # three padded rows (8 Nv complex entries each) per x block: 22
-        # blocks; the Trig reads then take 64 points per block
+        # three x rows per block at 16 Nv float64 each (the bound of a box
+        # spectrum row): 22 blocks; the Trig reads then take 64 points per
+        # block
         monkeypatch.setattr(grids, "_BLOCK", 3 * 16 * 512)
         blocked = gain_term_spectral(f, g, cfg).data
         assert np.array_equal(blocked, whole)
@@ -570,26 +589,66 @@ class TestGainOperators:
         assert peak <= 2 * out.data.nbytes
 
 
-class TestPaddedSpectrum:
-    """The pruned padded transform against a full rfftn of the padded block:
-    half 0 of the stacked result is the rfft half, half 1 its conjugate."""
+class TestBoxSpectrum:
+    """The three-factor box spectrum against a long-double direct DFT at the
+    box frequencies, and the box against the dealias ball it must hold."""
 
-    @pytest.mark.parametrize("nv, c", [((8, 8, 8), 732), ((16, 16, 16), 1),
-                                       ((8, 4, 2), 5), ((8, 8, 8), 32),
-                                       ((4, 2, 1), 3)])
-    def test_matches_fftn_of_zero_padded_block(self, nv, c):
+    CASES = [((8, 8, 8), 732), ((16, 16, 16), 1), ((8, 4, 2), 5),
+             ((8, 8, 8), 32), ((4, 2, 1), 3)]
+
+    @staticmethod
+    def direct_dft(chunk, grid, K):
+        """sum_v f(v) exp(-2 pi i k.v / (4Lv)) in long double, (c, box)."""
+        k = np.arange(-K, K + 1)
+        out = chunk.astype(np.clongdouble)
+        for n in grid.nv:
+            # k v_i / (4 Lv) = k (2i - n) / (4n): exact integer phases
+            ang = (2 * np.pi * np.outer(k, 2 * np.arange(n) - n).astype(np.longdouble)
+                   / np.longdouble(4 * n))
+            out = np.tensordot(out, np.cos(ang) - 1j * np.sin(ang), axes=([1], [1]))
+        return out
+
+    # at margin 0 the 16^3 box reaches K = 16: phase arguments k v / (4Lv)
+    # up to 1.6x those at the default K = 10 round coarser, 9.5e-16 of the
+    # maximum measured there against at most 5.2e-16 at the default margin
+    @pytest.mark.parametrize("margin, tol", [(1.0 / 3.0, 1e-15), (0.0, 2e-15)])
+    @pytest.mark.parametrize("nv, c", CASES)
+    def test_matches_long_double_dft(self, nv, c, margin, tol):
         grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
-        rng = np.random.default_rng(47)
-        chunk = rng.standard_normal((c,) + nv)
-        padded = np.zeros(tuple(2 * n for n in nv) + (c,))
-        padded[tuple(slice(n // 2, n // 2 + n) for n in nv)] = np.moveaxis(chunk, 0, -1)
-        want = np.fft.rfftn(padded, axes=(0, 1, 2))
+        factors, _ = box_operators(grid, margin)
+        K = (factors[0].shape[0] - 1) // 2
+        chunk = np.random.default_rng(47).standard_normal((c,) + nv)
         # the gain passes the real part of complex rows: a strided view
-        got = C._padded_spectrum(chunk.astype(complex).real, grid)
-        assert got.dtype == np.float64 and got.shape == (2 * want.size // c, 2 * c)
-        got = got.view(np.complex128).reshape((2,) + want.shape)
-        for half, ref in zip(got, (want, want.conj())):
-            assert np.max(np.abs(half - ref)) <= 1e-15 * np.max(np.abs(want))
+        got = C._box_spectrum(chunk.astype(complex).real, factors)
+        assert got.dtype == np.float64 and got.shape == ((2 * K + 1) ** 3, 2 * c)
+        want = np.moveaxis(self.direct_dft(chunk, grid, K), 0, -1).reshape(-1, c)
+        got = got.view(np.complex128)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("margin", [1.0 / 3.0, 0.25, 0.0])
+    @pytest.mark.parametrize("nv", [(8, 8, 8), (16, 16, 16), (8, 4, 2)])
+    def test_box_is_the_smallest_that_holds_the_ball(self, nv, margin):
+        grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
+        factors, ops = box_operators(grid, margin, SphereQuadrature.fibonacci(8))
+        K = (factors[0].shape[0] - 1) // 2
+        assert [e.shape for e in factors] == [(2 * K + 1, n) for n in nv]
+        assert not any(e.flags.writeable for e in factors)  # cached, shared
+        # every lattice point k in [-n, n)^3 of the ball, by its own sum
+        step = 1.0 / (4.0 * grid.Lv)
+        radius = C._dealias_radius(grid, margin)
+        k = np.stack(np.meshgrid(*(np.arange(-n, n) for n in nv),
+                                 indexing="ij"), axis=-1).reshape(-1, 3)
+        inside = k[np.sum((k * step) ** 2, axis=1) <= radius**2]
+        assert K == np.max(np.abs(inside))
+        if margin == 0.0:
+            assert K == min(nv)  # k = -n on the shortest axis
+        for pair in ops:
+            for op in pair:
+                assert op.shape[1] == (2 * K + 1) ** 3
+                read = np.stack(np.unravel_index(op.indices, (2 * K + 1,) * 3),
+                                axis=-1) - K
+                # each column is a box point of the ball
+                assert np.all(np.sum((read * step) ** 2, axis=1) <= radius**2)
 
 
 class TestDirectGain:
