@@ -10,12 +10,14 @@ directions w, with the off-grid evaluation points read either trilinearly
 on the lattice k/(4Lv) of the 2x zero-padded box (default) or by exact
 trigonometric sums (oracle runs), only on rows where both points lie in
 the dealias ball.  f and g must be real, so Qhat+ is Hermitian: only the
-half lattice k3 <= n3/2 is read, and one irfftn inverts it.  The trilinear
-reads are cached operators (`_gain_operators`): per node q, one real CSR
-pair (S+_q, S-_q), so that Qhat+ = sum_q (S+_q F) (S-_q G), F and G the
-spectra on the box [-K, K]^3 that holds the ball (`_box_spectrum`, taken
-once per x block when g is f).  x rows and trigonometric read points run
-in `grids.blocks`.  A direct physical-space quadrature — for each output
+half lattice k3 <= n3/2 is read, and one irfftn inverts it.  Both
+interpolations form the product only on the live rows of every node,
+stacked node after node (`_live_reads`), and one 0/1 CSR gather adds each
+into its output row.  The trilinear reads are cached real CSR operators
+(`_gain_operators`) over the stacked rows, so that Qhat+ = gather
+((S+ F) (S- G)), F and G the spectra on the box [-K, K]^3 that holds the
+ball (`_box_spectrum`, taken once per x block when g is f).  x rows and
+trigonometric read points run in `grids.blocks`.  A direct physical-space quadrature — for each output
 velocity, f and g read at the outgoing pair of every collision partner on
 the lattice — serves as a brute-force cross-check on small v-grids.  Both
 trilinear paths read through the one zero-extended multilinear stencil
@@ -235,31 +237,32 @@ def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
     return (e0 @ t.reshape(n1, -1)).reshape(-1, c).view(np.float64)
 
 
-def _node_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
-    """Per quadrature node w, (w_q, xi+, xi-, live): the read points
-    xi+ = xi - (xi.w)w and xi- = (xi.w)w of every xi (FFT order) of the half
-    lattice k3 <= n3/2, and the rows where both lie in the dealias ball, the
-    only rows whose product is not zero."""
+def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
+    """(w, xi+, xi-, gather) of the live rows of every quadrature node w,
+    node after node: the read points xi+ = xi - (xi.w)w and xi- = (xi.w)w of
+    each xi (FFT order) of the half lattice k3 <= n3/2 where both lie in the
+    dealias ball (the only rows whose product is not zero), each with its
+    node weight, and the read-only (half lattice, live rows) 0/1 CSR matrix
+    that adds each live row into its xi.  A CSR row sums its entries in
+    column order from zero, so the gather adds the nodes in node order."""
     xi3 = grid.xi_axis(2)[:grid.nv[2] // 2 + 1]
     mesh = np.meshgrid(grid.xi_axis(0), grid.xi_axis(1), xi3, indexing="ij")
     xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (n1 n2 (n3/2 + 1), 3)
-    for w_q, omega in zip(quad.weights, quad.nodes):
+    reads = []
+    for omega in quad.nodes:
         xim = (xi @ omega)[:, None] * omega[None, :]
         xip = xi - xim
         live = ((np.sum(xip**2, axis=1) <= radius**2)
                 & (np.sum(xim**2, axis=1) <= radius**2))
-        yield w_q, xip, xim, live
+        reads.append((np.flatnonzero(live), xip[live], xim[live]))
+    rows, xip, xim = (np.concatenate(r) for r in zip(*reads))
+    w = np.repeat(quad.weights, [r[0].size for r in reads])
+    gather = sparse.csr_array((np.ones(rows.size), (rows, np.arange(rows.size))),
+                              shape=(xi.shape[0], rows.size))
+    return w, xip, xim, _read_only(gather)
 
 
-def _read_operator(idx: np.ndarray, w: np.ndarray,
-                   ncols: int) -> sparse.csr_array:
-    """The (npts, ncols) read-only CSR matrix of a (2^d, npts) stencil:
-    row i holds point i's non-zero corner weights in stencil order."""
-    keep = (w != 0).T
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    op = sparse.csr_array(
-        (w.T[keep], idx.T[keep].astype(np.int32), indptr.astype(np.int32)),
-        shape=(w.shape[1], ncols))
+def _read_only(op: sparse.csr_array) -> sparse.csr_array:
     for arr in (op.data, op.indices, op.indptr):
         arr.flags.writeable = False
     return op
@@ -267,20 +270,19 @@ def _read_operator(idx: np.ndarray, w: np.ndarray,
 
 @functools.lru_cache(maxsize=4)
 def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
-                    radius: float) -> tuple[tuple, tuple]:
-    """(factors, ops): the three (2K+1, n_a) phase factors of `_box_spectrum`
-    and, per quadrature node q, the real CSR pair (S+_q, S-_q) of shape
-    (n1 n2 (n3/2 + 1), (2K+1)^3) whose products with the float64 view of a
-    box spectrum give the multilinear reads at xi+ = xi - (xi.w)w and
-    xi- = (xi.w)w for every xi of the half lattice k3 <= n3/2 (FFT order).
+                    radius: float) -> tuple:
+    """(factors, S+, S-, gather): the three (2K+1, n_a) phase factors of
+    `_box_spectrum`, the real CSR reads S+ and S- of shape (live rows,
+    (2K+1)^3) whose products with the float64 view of a box spectrum give
+    the multilinear reads at xi+ and xi- of every live row of
+    `_live_reads`, and its gather.  Qhat+ = gather ((S+ F) (S- G)).
 
     The reads run on the lattice xi = k/(4Lv), k in [-n, n), and weigh only
     corners in the dealias ball, whose largest |k_a| is K; a column is the
-    C-order box index of k + K.  The weights fold in the node weight w_q
-    and cell_v**2 (+ side only), the ball, and the joint mask of the row:
-    where one read leaves the ball both rows are empty.  A time loop pays
-    the build once per (grid, nodes, weights, radius); the four latest sets
-    stay cached."""
+    C-order box index of k + K.  S+ folds in each row's node weight and
+    cell_v**2.  The stencils are built in `grids.blocks` of rows.  A time
+    loop pays the build once per (grid, nodes, weights, radius); the four
+    latest sets stay cached."""
     quad = SphereQuadrature(np.frombuffer(nodes).reshape(-1, 3),
                             np.frombuffer(weights))
     nv = grid.nv
@@ -297,38 +299,46 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
                     for a in range(3))
     for e in factors:
         e.flags.writeable = False
+    w, xip, xim, gather = _live_reads(grid, quad, radius)
 
-    def read(pts, live, scale):
-        idx, w = lattice_stencil(pts, origin, step, pshape)
-        w = w * (ball[idx] & live) * scale
-        return _read_operator(column[idx], w, (2 * K + 1) ** 3)
+    def read(pts, scale):
+        # row i holds point i's non-zero corner weights in stencil order
+        data, cols, counts = [], [], [[0]]
+        for sl in blocks(pts.shape[0], 8 * 8):
+            idx, wts = lattice_stencil(pts[sl], origin, step, pshape)
+            wts = wts * ball[idx] * scale[sl]
+            keep = (wts != 0).T
+            data.append(wts.T[keep])
+            cols.append(column[idx].T[keep])
+            counts.append(keep.sum(axis=1))
+        indptr = np.cumsum(np.concatenate(counts))
+        return _read_only(sparse.csr_array(
+            (np.concatenate(data), np.concatenate(cols).astype(np.int32),
+             indptr.astype(np.int32)), shape=(pts.shape[0], (2 * K + 1) ** 3)))
 
-    return factors, tuple(
-        (read(xip, live, w_q * grid.cell_v**2), read(xim, live, 1.0))
-        for w_q, xip, xim, live in _node_reads(grid, quad, radius))
+    return (factors, read(xip, w * grid.cell_v**2),
+            read(xim, np.ones_like(w)), gather)
 
 
 def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
-               inside: np.ndarray, sign: float, cell: float) -> np.ndarray:
+               sign: float, cell: float) -> np.ndarray:
     """cell * sum_k data[..., k1,k2,k3] exp(sign 2 pi i p.(a1[k1],a2[k2],a3[k3]))
-    at the points p where `inside` holds, zero at the others: (c, npts) for
-    (c, n1, n2, n3) data.  The exponential is factored over the product
-    lattice (three small phase matrices per block instead of one huge one);
-    points run in `grids.blocks`, each one complex (c, n1, n2) slab."""
+    at the (npts, 3) points p: (c, npts) for (c, n1, n2, n3) data.  The
+    exponential is factored over the product lattice (three small phase
+    matrices per block instead of one huge one); points run in
+    `grids.blocks`, each one complex (c, n1, n2) slab."""
     c, n1, n2, n3 = data.shape
-    pts = points[inside]
-    sums = np.empty((c, pts.shape[0]), dtype=np.complex128)
+    sums = np.empty((c, points.shape[0]), dtype=np.complex128)
     flat12 = data.reshape(c * n1 * n2, n3)
     phase = sign * 2j * np.pi
-    for sl in blocks(pts.shape[0], 2 * c * n1 * n2):
-        E1, E2, E3 = (np.exp(phase * np.outer(pts[sl, a], axes[a]))
+    for sl in blocks(points.shape[0], 2 * c * n1 * n2):
+        E1, E2, E3 = (np.exp(phase * np.outer(points[sl, a], axes[a]))
                       for a in range(3))
         T1 = (flat12 @ E3.T).reshape(c, n1, n2, sl.stop - sl.start)
         T2 = np.einsum("xijb,bj->xib", T1, E2)
         sums[:, sl] = np.einsum("xib,bi->xb", T2, E1)
-    out = np.zeros((c, points.shape[0]), dtype=np.complex128)
-    out[:, inside] = sums * cell
-    return out
+    sums *= cell
+    return sums
 
 
 def _require_full_physical(f, name: str) -> None:
@@ -357,16 +367,14 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     nxtot = math.prod(grid.nx)
     half = grid.nv[:2] + (grid.nv[2] // 2 + 1,)
     trilinear = cfg.interpolation is Interpolation.Trilinear
-
     if trilinear:
-        factors, ops = _gain_operators(grid, quad.nodes.tobytes(),
-                                       quad.weights.tobytes(), radius)
+        factors, sp, sm, gather = _gain_operators(
+            grid, quad.nodes.tobytes(), quad.weights.tobytes(), radius)
     else:
         # exact forward-transform samples F(xi) = sum_v f(v) exp(-2 pi i xi.v)
-        # * cell at each node's (xi+, xi-) points of the live rows, zero
-        # elsewhere
+        # * cell at the live rows' (xi+, xi-) points
         vaxes = [grid.v_axis(a) for a in range(3)]
-        reads = list(_node_reads(grid, quad, radius))
+        w, xip, xim, gather = _live_reads(grid, quad, radius)
 
     fd, gd = (h.data.real.reshape((nxtot,) + grid.nv) for h in (f, g))
     # the inverse's edge sign and 1/cell on the half lattice
@@ -383,15 +391,12 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
             # spectrum: 2c real columns, no complex copy of the matrices
             Fl = _box_spectrum(fd[sl], factors)
             Gl = Fl if same else _box_spectrum(gd[sl], factors)
-            acc = np.zeros((math.prod(half), rows), dtype=np.complex128)
-            for sp, sm in ops:
-                acc += (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
-            acc = acc.T
+            prod = (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
         else:
-            acc = np.zeros((rows, math.prod(half)), dtype=np.complex128)
-            for w_q, xip, xim, live in reads:
-                acc += (w_q * _trig_read(fd[sl], vaxes, xip, live, -1.0, grid.cell_v)
-                        * _trig_read(gd[sl], vaxes, xim, live, -1.0, grid.cell_v))
+            prod = (w * _trig_read(fd[sl], vaxes, xip, -1.0, grid.cell_v)
+                    * _trig_read(gd[sl], vaxes, xim, -1.0, grid.cell_v)).T.copy()
+        # every node's live rows into their xi, on the float64 view
+        acc = (gather @ prod.view(np.float64)).view(np.complex128).T
         out[sl] = sfft.irfftn(acc.reshape((rows,) + half) * inv_sign, s=grid.nv,
                               axes=(1, 2, 3), overwrite_x=True).reshape(rows, nvtot)
 
@@ -438,8 +443,10 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
         spec_g = _ft(g.data.reshape((nxtot,) + grid.nv), (1, 2, 3), grid.cell_v)
 
     # x-blocks keep each (rows, Nv^2) complex pair tensor near the budget;
-    # rows are independent, so the blocking leaves every output bit unchanged
-    out = np.zeros((nxtot, nvtot), dtype=np.complex128)
+    # rows are independent, so the blocking leaves every output bit unchanged.
+    # Trilinear reads of real f and g are real
+    out = np.zeros((nxtot, nvtot),
+                   dtype=np.complex128 if trig else np.result_type(fd, gd))
     for w_i, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
         k = (V[:, None, :] - V[None, :, :]) @ omega  # (Nv_v, Nv_u)
         vstar = (V[:, None, :] - k[:, :, None] * omega).reshape(-1, 3)
@@ -452,8 +459,10 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
             su = lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)
         for sl in blocks(nxtot, 2 * nvtot**2):  # complex: two float64 each
             if trig:
-                fv = _trig_read(spec_f[sl], xiaxes, vstar, inv, +1.0, grid.cell_xi)
-                gu = _trig_read(spec_g[sl], xiaxes, ustar, inu, +1.0, grid.cell_xi)
+                # the in-box points, zero at the others
+                fv, gu = np.zeros((2, sl.stop - sl.start, nvtot**2), np.complex128)
+                fv[:, inv] = _trig_read(spec_f[sl], xiaxes, vstar[inv], +1.0, grid.cell_xi)
+                gu[:, inu] = _trig_read(spec_g[sl], xiaxes, ustar[inu], +1.0, grid.cell_xi)
             else:
                 fv = lattice_read(fd[sl], sv)
                 gu = lattice_read(gd[sl], su)

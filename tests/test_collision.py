@@ -99,7 +99,7 @@ def reference_spectrum(f, g, cfg):
 
 
 def box_operators(grid, margin, quad=SphereQuadrature.fibonacci(1)):
-    """(factors, ops) of the spectral gain at a dealias margin."""
+    """(factors, S+, S-, gather) of the spectral gain at a dealias margin."""
     return C._gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
                              C._dealias_radius(grid, margin))
 
@@ -515,17 +515,20 @@ class TestGainOperators:
         f = smooth_blob(grid, np.random.default_rng(45))
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4))
         gain_term_spectral(f, f, cfg)
-        _, ops = C._gain_operators(grid, cfg.quadrature.nodes.tobytes(),
-                                   cfg.quadrature.weights.tobytes(),
-                                   C._dealias_radius(grid, cfg.dealias_margin))
-        assert len(ops) == 4
-        for pair in ops:
-            for op in pair:
-                # the half output lattice k3 <= 4 by the box [-5, 5]^3 that
-                # holds the dealias ball of the 16^3 padded lattice
-                assert op.shape == (8 * 8 * 5, 11**3)
-                for arr in (op.data, op.indices, op.indptr):
-                    assert not arr.flags.writeable
+        factors, sp, sm, gather = C._gain_operators(
+            grid, cfg.quadrature.nodes.tobytes(), cfg.quadrature.weights.tobytes(),
+            C._dealias_radius(grid, cfg.dealias_margin))
+        assert not any(e.flags.writeable for e in factors)
+        # the live rows of the 4 nodes on the half output lattice k3 <= 4,
+        # read from the box [-5, 5]^3 that holds the dealias ball of the 16^3
+        # padded lattice
+        live = gather.shape[1]
+        assert live <= 4 * 8 * 8 * 5
+        assert sp.shape == sm.shape == (live, 11**3)
+        assert gather.shape == (8 * 8 * 5, live)
+        for op in (sp, sm, gather):
+            for arr in (op.data, op.indices, op.indptr):
+                assert not arr.flags.writeable
 
     def test_cache_is_small_and_bounded(self):
         maxsize = C._gain_operators.cache_parameters()["maxsize"]
@@ -535,13 +538,26 @@ class TestGainOperators:
         ((16, 16, 16), (8, 8, 8), 5.0, 8, 8561),  # the residual grid
         ((1, 1, 1), (16, 16, 16), 6.0, 64, 527263)])  # the relax grid
     def test_sides_share_their_live_rows(self, nx, nv, Lv, n, nnz):
-        # a row is read only where both xi+ and xi- lie in the dealias ball,
-        # so S+ and S- of every node have the same non-empty rows
+        # a row is built only where both xi+ and xi- lie in the dealias ball,
+        # so every row of S+ and S- reads something, and the gather adds
+        # each live row once into the xi it came from
         grid = GridSpec(nx, nv, Lx=1.0, Lv=Lv, full_cap=24**6)
-        _, ops = box_operators(grid, 1.0 / 3.0, SphereQuadrature.fibonacci(n))
-        for sp, sm in ops:
-            assert np.array_equal(np.diff(sp.indptr) > 0, np.diff(sm.indptr) > 0)
-        assert sum(op.nnz for pair in ops for op in pair) == nnz
+        quad = SphereQuadrature.fibonacci(n)
+        radius = C._dealias_radius(grid, 1.0 / 3.0)
+        _, sp, sm, gather = box_operators(grid, 1.0 / 3.0, quad)
+        assert np.all(np.diff(sp.indptr) > 0) and np.all(np.diff(sm.indptr) > 0)
+        assert sp.nnz + sm.nnz == nnz
+        cols = gather.tocsc()
+        assert np.all(np.diff(cols.indptr) == 1) and np.all(cols.data == 1.0)
+        xi = np.stack(np.meshgrid(grid.xi_axis(0), grid.xi_axis(1),
+                                  grid.xi_axis(2)[:nv[2] // 2 + 1], indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+        live = np.zeros(xi.shape[0])
+        for omega in quad.nodes:
+            xim = np.outer(xi @ omega, omega)
+            live += ((np.sum((xi - xim) ** 2, axis=1) <= radius**2)
+                     & (np.sum(xim**2, axis=1) <= radius**2))
+        assert np.array_equal(gather.sum(axis=1), live)
 
     @pytest.mark.parametrize("nx, nv, Lv", [((16, 8, 8), (8, 8, 8), 4.0),
                                             ((1, 1, 1), (16, 16, 16), 6.0)])
@@ -615,7 +631,7 @@ class TestBoxSpectrum:
     @pytest.mark.parametrize("nv, c", CASES)
     def test_matches_long_double_dft(self, nv, c, margin, tol):
         grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
-        factors, _ = box_operators(grid, margin)
+        factors = box_operators(grid, margin)[0]
         K = (factors[0].shape[0] - 1) // 2
         chunk = np.random.default_rng(47).standard_normal((c,) + nv)
         # the gain passes the real part of complex rows: a strided view
@@ -629,7 +645,7 @@ class TestBoxSpectrum:
     @pytest.mark.parametrize("nv", [(8, 8, 8), (16, 16, 16), (8, 4, 2)])
     def test_box_is_the_smallest_that_holds_the_ball(self, nv, margin):
         grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
-        factors, ops = box_operators(grid, margin, SphereQuadrature.fibonacci(8))
+        factors, sp, sm, _ = box_operators(grid, margin, SphereQuadrature.fibonacci(8))
         K = (factors[0].shape[0] - 1) // 2
         assert [e.shape for e in factors] == [(2 * K + 1, n) for n in nv]
         assert not any(e.flags.writeable for e in factors)  # cached, shared
@@ -642,13 +658,12 @@ class TestBoxSpectrum:
         assert K == np.max(np.abs(inside))
         if margin == 0.0:
             assert K == min(nv)  # k = -n on the shortest axis
-        for pair in ops:
-            for op in pair:
-                assert op.shape[1] == (2 * K + 1) ** 3
-                read = np.stack(np.unravel_index(op.indices, (2 * K + 1,) * 3),
-                                axis=-1) - K
-                # each column is a box point of the ball
-                assert np.all(np.sum((read * step) ** 2, axis=1) <= radius**2)
+        for op in (sp, sm):
+            assert op.shape[1] == (2 * K + 1) ** 3
+            read = np.stack(np.unravel_index(op.indices, (2 * K + 1,) * 3),
+                            axis=-1) - K
+            # each column is a box point of the ball
+            assert np.all(np.sum((read * step) ** 2, axis=1) <= radius**2)
 
 
 class TestDirectGain:
@@ -693,6 +708,31 @@ class TestDirectGain:
         monkeypatch.setattr(grids, "_BLOCK", 3 * 2 * 64**2)
         blocked = gain_term_direct(f, g, cfg).data
         assert np.array_equal(blocked, whole)
+
+    def test_trilinear_gain_of_real_fields_is_real(self):
+        # trilinear reads of real f and g are real, so the gain is stored as
+        # float64; it equals, bit for bit, the real part of the same
+        # quadrature summed into a complex128 output, one x row at a time
+        grid = GridSpec((2, 1, 1), (8, 8, 8), Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(47)
+        f, g = (PhaseField(grid, x_varying(smooth_blob(grid, rng), rng).data.real)
+                for _ in range(2))
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        got = gain_term_direct(f, g, cfg).data
+        assert got.dtype == np.float64
+        V = grid.v_points()
+        fd, gd = f.data.reshape(2, -1), g.data.reshape(2, -1)
+        want = np.zeros(fd.shape, dtype=np.complex128)
+        for w_i, omega in zip(cfg.quadrature.weights, cfg.quadrature.nodes):
+            k = (V[:, None, :] - V[None, :, :]) @ omega
+            vstar = (V[:, None, :] - k[:, :, None] * omega).reshape(-1, 3)
+            ustar = (V[None, :, :] + k[:, :, None] * omega).reshape(-1, 3)
+            for row in range(2):
+                prod = (lattice_read(fd[row], lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv))
+                        * lattice_read(gd[row], lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)))
+                want[row] += w_i * prod.reshape(V.shape[0], -1).sum(axis=1)
+        want *= grid.cell_v
+        assert np.array_equal(got.reshape(2, -1), want.real)
 
     def test_resolution_guard(self):
         grid = GridSpec((1, 1, 1), (16, 16, 16), Lx=1.0, Lv=4.0)
