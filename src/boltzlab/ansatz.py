@@ -197,6 +197,8 @@ class AnsatzParams:
             raise ValueError("M must be a dyadic integer >= 4")
         if not 0.5 < s < 1.0:
             raise ValueError("regularity s must lie in (1/2, 1)")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
         if N2 is None:
             N2 = 2 ** int(round(mu * math.log2(M)))
         mu = math.log2(N2) / math.log2(M)
@@ -282,51 +284,39 @@ class _TubeSmear:
         Psi2(c; tau) = int_{R^2} chi(|c e1 - tau w|) chi(|w|) d^2 w
         Psi1(c; tau) = int_R    chi(c - tau u)       chi(|u|)  du
 
-    Both are computed through the transform tables (Hankel / cosine form), so
-    each table entry is a smooth 1D quadrature; both are even in c and tau.
-    At tau = 0 they collapse exactly to chi(c) * (2D resp. 1D mass).
+    Both are computed through the transform tables (Hankel / cosine form):
+    one builder makes each (c, tau) table as one GEMM of its kernel over
+    the c grid with the transform profiles over the tau grid.  Both are
+    even in c and tau; at tau = 0 they collapse exactly to chi(c) * (2D
+    resp. 1D mass).  `at` reads both at one time.
     """
 
-    C2_MAX, TAU2_MAX, N_C2, N_TAU2 = 1.35, 0.3, 241, 97
-    C1_MAX, TAU1_MAX, N_C1, N_TAU1 = 1.1, 0.032, 221, 17
+    PSI2, PSI1 = (1.35, 241, 0.3, 97), (1.1, 221, 0.032, 17)  # c max, n_c, tau max, n_tau
 
     def __init__(self):
+        from scipy.special import j0
+
         bump = default_bump()
         k, wk = gauss_on(0.0, bump.rho_max, 1024)
 
-        self.c2_grid = np.linspace(0.0, self.C2_MAX, self.N_C2)
-        self.tau2_grid = np.linspace(0.0, self.TAU2_MAX, self.N_TAU2)
-        from scipy.special import j0
+        def build(c_max, n_c, tau_max, n_tau, kernel, dim, measure):
+            c, tau = np.linspace(0.0, c_max, n_c), np.linspace(0.0, tau_max, n_tau)
+            prof = bump.hat(k, dim) * bump.hat(np.outer(tau, k), dim) * measure
+            return c, tau, kernel(2.0 * np.pi * np.outer(c, k)) @ prof.T
 
-        kern2 = j0(2.0 * np.pi * np.outer(self.c2_grid, k))  # (c, k)
-        h2 = bump.hat(k, 2)
-        self.psi2_table = np.empty((self.N_C2, self.N_TAU2))
-        for it, tau in enumerate(self.tau2_grid):
-            prof = h2 * bump.hat(tau * k, 2) * k * wk
-            self.psi2_table[:, it] = 2.0 * np.pi * (kern2 @ prof)
+        self.tables = (build(*self.PSI2, lambda u: 2.0 * np.pi * j0(u), 2, k * wk),
+                       build(*self.PSI1, lambda u: 2.0 * np.cos(u), 1, wk))
 
-        self.c1_grid = np.linspace(0.0, self.C1_MAX, self.N_C1)
-        self.tau1_grid = np.linspace(0.0, self.TAU1_MAX, self.N_TAU1)
-        kern1 = np.cos(2.0 * np.pi * np.outer(self.c1_grid, k))
-        h1 = bump.hat(k, 1)
-        self.psi1_table = np.empty((self.N_C1, self.N_TAU1))
-        for it, tau in enumerate(self.tau1_grid):
-            prof = h1 * bump.hat(tau * k, 1) * wk
-            self.psi1_table[:, it] = 2.0 * (kern1 @ prof)
-
-    def _blend(self, table: np.ndarray, tau_grid: np.ndarray, tau: float) -> np.ndarray:
-        """Linear blend of the tau columns at a fixed scalar tau -> 1D c-table."""
-        tau = abs(float(tau))
-        if not tau <= tau_grid[-1] + 1e-12:
-            raise ValueError("smear table tau out of range")
-        stencil = lattice_stencil(np.array([[tau]]), 0.0, tau_grid[1], tau_grid.shape)
-        return lattice_read(table, stencil)[:, 0]
-
-    def psi2_at(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.c2_grid, self._blend(self.psi2_table, self.tau2_grid, tau)
-
-    def psi1_at(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.c1_grid, self._blend(self.psi1_table, self.tau1_grid, tau)
+    def at(self, t: float) -> tuple[np.ndarray, ...]:
+        """(c2 grid, Psi2(.; t), c1 grid, Psi1(.; t/10)): each table's tau
+        columns blended linearly at |tau|."""
+        out = ()
+        for (c, tau_grid, table), tau in zip(self.tables, (abs(t), abs(t) / 10.0)):
+            if not tau <= tau_grid[-1] + 1e-12:
+                raise ValueError("smear table tau out of range")
+            stencil = lattice_stencil(np.array([[tau]]), 0.0, tau_grid[1], tau_grid.shape)
+            out += (c, lattice_read(table, stencil)[:, 0])
+        return out
 
 
 @lru_cache(maxsize=1)
@@ -373,7 +363,7 @@ def _smear_at(t: float) -> tuple[np.ndarray, ...]:
     which must lie on rho_b's standing window |t| <= 1/4."""
     if not abs(t) <= 0.25 + 1e-12:
         raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
-    return (*_smear().psi2_at(t), *_smear().psi1_at(t / 10.0))
+    return _smear().at(t)
 
 
 def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
@@ -581,16 +571,19 @@ class BetaCache:
         return float(np.max(np.abs(self.table)))
 
 
+_FIRST_NT, _FIRST_NX = 16, 8  # the first table of converged_beta_cache
+
+
 def converged_beta_cache(p: AnsatzParams, tol: float = 0.005,
-                         nt: int = 16, nx: int = 8,
                          max_rounds: int = 4) -> BetaCache:
-    """Double the cache table until the cavity attenuation factor
-    exp(-beta) changes by less than `tol` relative, and return that cache."""
+    """Double the cache table, from (_FIRST_NT, _FIRST_NX), until the cavity
+    attenuation factor exp(-beta) changes by less than `tol` relative, and
+    return that cache."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    cache = BetaCache(p, nt, nx)
+    cache = BetaCache(p, _FIRST_NT, _FIRST_NX)
     rng_pts = _probe_points(p)
     prev = np.exp(-cache(p.t_star, rng_pts))
     for _ in range(max_rounds):

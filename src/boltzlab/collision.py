@@ -238,13 +238,12 @@ def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
 
 
 def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
-    """(w, xi+, xi-, gather) of the live rows of every quadrature node w,
-    node after node: the read points xi+ = xi - (xi.w)w and xi- = (xi.w)w of
-    each xi (FFT order) of the half lattice k3 <= n3/2 where both lie in the
-    dealias ball (the only rows whose product is not zero), each with its
-    node weight, and the read-only (half lattice, live rows) 0/1 CSR matrix
-    that adds each live row into its xi.  A CSR row sums its entries in
-    column order from zero, so the gather adds the nodes in node order."""
+    """(w, xi+, xi-, gather) of the live rows of every node w, node after
+    node: the rows xi (FFT order) of the half lattice k3 <= n3/2 whose reads
+    xi+ = xi - (xi.w)w and xi- = (xi.w)w both lie in the dealias ball, each
+    with its node weight, and the (half lattice, live rows) 0/1 CSR matrix
+    that adds each into its xi.  A CSR row sums its entries in column order
+    from zero, so the gather adds the nodes in node order."""
     xi3 = grid.xi_axis(2)[:grid.nv[2] // 2 + 1]
     mesh = np.meshgrid(grid.xi_axis(0), grid.xi_axis(1), xi3, indexing="ij")
     xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (n1 n2 (n3/2 + 1), 3)
@@ -259,23 +258,17 @@ def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
     w = np.repeat(quad.weights, [r[0].size for r in reads])
     gather = sparse.csr_array((np.ones(rows.size), (rows, np.arange(rows.size))),
                               shape=(xi.shape[0], rows.size))
-    return w, xip, xim, _read_only(gather)
-
-
-def _read_only(op: sparse.csr_array) -> sparse.csr_array:
-    for arr in (op.data, op.indices, op.indptr):
-        arr.flags.writeable = False
-    return op
+    return w, xip, xim, gather
 
 
 @functools.lru_cache(maxsize=4)
 def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
                     radius: float) -> tuple:
-    """(factors, S+, S-, gather): the three (2K+1, n_a) phase factors of
-    `_box_spectrum`, the real CSR reads S+ and S- of shape (live rows,
-    (2K+1)^3) whose products with the float64 view of a box spectrum give
-    the multilinear reads at xi+ and xi- of every live row of
-    `_live_reads`, and its gather.  Qhat+ = gather ((S+ F) (S- G)).
+    """(factors, S+, S-, gather), all read-only: the three (2K+1, n_a) phase
+    factors of `_box_spectrum`, and the real CSR reads S+ and S- of shape
+    (live rows, (2K+1)^3) whose products with the float64 view of a box
+    spectrum give the multilinear reads at xi+ and xi- of the stacked live
+    rows of `_live_reads`, with its gather: Qhat+ = gather ((S+ F) (S- G)).
 
     The reads run on the lattice xi = k/(4Lv), k in [-n, n), and weigh only
     corners in the dealias ball, whose largest |k_a| is K; a column is the
@@ -297,27 +290,24 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
     box = np.arange(-K, K + 1) * step
     factors = tuple(np.exp(-2j * np.pi * np.outer(box, grid.v_axis(a)))
                     for a in range(3))
-    for e in factors:
-        e.flags.writeable = False
     w, xip, xim, gather = _live_reads(grid, quad, radius)
 
     def read(pts, scale):
         # row i holds point i's non-zero corner weights in stencil order
-        data, cols, counts = [], [], [[0]]
+        idx, wts = np.empty((8, pts.shape[0]), np.int32), np.empty((8, pts.shape[0]))
         for sl in blocks(pts.shape[0], 8 * 8):
-            idx, wts = lattice_stencil(pts[sl], origin, step, pshape)
-            wts = wts * ball[idx] * scale[sl]
-            keep = (wts != 0).T
-            data.append(wts.T[keep])
-            cols.append(column[idx].T[keep])
-            counts.append(keep.sum(axis=1))
-        indptr = np.cumsum(np.concatenate(counts))
-        return _read_only(sparse.csr_array(
-            (np.concatenate(data), np.concatenate(cols).astype(np.int32),
-             indptr.astype(np.int32)), shape=(pts.shape[0], (2 * K + 1) ** 3)))
+            i, wq = lattice_stencil(pts[sl], origin, step, pshape)
+            idx[:, sl], wts[:, sl] = column[i], wq * ball[i] * scale[sl]
+        op = sparse.csr_array((wts.T.ravel(), idx.T.ravel(),
+                               np.arange(0, wts.size + 1, 8, dtype=np.int32)),
+                              shape=(pts.shape[0], (2 * K + 1) ** 3))
+        op.eliminate_zeros()
+        return op
 
-    return (factors, read(xip, w * grid.cell_v**2),
-            read(xim, np.ones_like(w)), gather)
+    ops = read(xip, w * grid.cell_v**2), read(xim, np.ones_like(w)), gather
+    for arr in (*factors, *(a for op in ops for a in (op.data, op.indices, op.indptr))):
+        arr.flags.writeable = False
+    return (factors, *ops)
 
 
 def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
@@ -459,7 +449,6 @@ def gain_term_direct(f: PhaseField, g: PhaseField,
             su = lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)
         for sl in blocks(nxtot, 2 * nvtot**2):  # complex: two float64 each
             if trig:
-                # the in-box points, zero at the others
                 fv, gu = np.zeros((2, sl.stop - sl.start, nvtot**2), np.complex128)
                 fv[:, inv] = _trig_read(spec_f[sl], xiaxes, vstar[inv], +1.0, grid.cell_xi)
                 gu[:, inu] = _trig_read(spec_g[sl], xiaxes, ustar[inu], +1.0, grid.cell_xi)

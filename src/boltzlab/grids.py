@@ -37,7 +37,8 @@ DEFAULT_FULL_CAP = 24**6  # max total sample count for in-RAM Full storage
 
 
 class FieldTag(enum.Enum):
-    """Which axis groups of a PhaseField are in Fourier space."""
+    """Which axis groups of a PhaseField are in Fourier space: bit 1 of the
+    value for x, bit 2 for v (the KLB1 tag byte)."""
 
     Physical_xv = 0
     Spectral_eta_v = 1   # x -> eta
@@ -46,21 +47,11 @@ class FieldTag(enum.Enum):
 
     @property
     def x_spectral(self) -> bool:
-        return self in (FieldTag.Spectral_eta_v, FieldTag.Spectral_eta_xi)
+        return bool(self.value & 1)
 
     @property
     def v_spectral(self) -> bool:
-        return self in (FieldTag.Spectral_x_xi, FieldTag.Spectral_eta_xi)
-
-
-def _tag_from(x_spec: bool, v_spec: bool) -> FieldTag:
-    if x_spec and v_spec:
-        return FieldTag.Spectral_eta_xi
-    if x_spec:
-        return FieldTag.Spectral_eta_v
-    if v_spec:
-        return FieldTag.Spectral_x_xi
-    return FieldTag.Physical_xv
+        return bool(self.value & 2)
 
 
 class Storage(enum.Enum):
@@ -211,10 +202,9 @@ class PhaseField:
     def to(self, tag: FieldTag) -> "PhaseField":
         """Return this field re-represented under `tag` (no-op if already there)."""
         out = self
-        if tag.x_spectral != out.tag.x_spectral:
-            out = transform(out, "x", "forward" if tag.x_spectral else "inverse")
-        if tag.v_spectral != out.tag.v_spectral:
-            out = transform(out, "v", "forward" if tag.v_spectral else "inverse")
+        for axes, bit in (("x", 1), ("v", 2)):
+            if (tag.value ^ out.tag.value) & bit:
+                out = transform(out, axes, "forward" if tag.value & bit else "inverse")
         return out
 
     def v_blocks(self, tag: FieldTag = FieldTag.Physical_xv
@@ -325,8 +315,8 @@ class ScalingTransform:
     beta_exp: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +483,19 @@ def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
     if axes == "both":
-        mid = transform(field, "x", direction)
-        return transform(mid, "v", direction)
+        return transform(transform(field, "x", direction), "v", direction)
 
     grid = field.grid
+    bit = 1 if axes == "x" else 2  # the axis group's FieldTag bit
     want_spec = direction == "forward"
-    have_spec = field.tag.x_spectral if axes == "x" else field.tag.v_spectral
+    have_spec = bool(field.tag.value & bit)
     if want_spec == have_spec:
         raise ValueError(f"redundant transform: {axes} axes already "
                          f"{'spectral' if have_spec else 'physical'}")
 
-    ax_ids = (0, 1, 2) if axes == "x" else (3, 4, 5)
-    cell = grid.cell_x if axes == "x" else grid.cell_v
+    ax_ids, cell = ((0, 1, 2), grid.cell_x) if axes == "x" else ((3, 4, 5), grid.cell_v)
     out = (_ft if want_spec else _ift)(field.data, ax_ids, cell)
-    new_tag = _tag_from(
-        want_spec if axes == "x" else field.tag.x_spectral,
-        want_spec if axes == "v" else field.tag.v_spectral,
-    )
-    return PhaseField(grid, out, new_tag)
+    return PhaseField(grid, out, FieldTag(field.tag.value ^ bit))
 
 
 def x_derivatives(data: np.ndarray, grid: GridSpec) -> Iterator[np.ndarray]:
@@ -655,7 +640,8 @@ def rescale(field: PhaseField, s: ScalingTransform) -> PhaseField:
     data = _refine_axes(data, (0, 1, 2), qx)
     data = _refine_axes(data, (3, 4, 5), qv)
 
-    out = np.zeros(field.grid.shape, dtype=np.complex128)
+    # real data stays real unless an axis was refined
+    out = np.zeros(field.grid.shape, dtype=data.dtype)
     # index map on the refined grid: point m*x_j has refined index p*j - (p-q)*n_ref/2...
     # refined axis i <-> coordinate -L + i*(2L/(n*q)); target m*x_j = -L*m + j*m*2L/n.
     # i(j) = (m*x_j + L) * n*q/(2L) = p*j + (q - p) * n/2   (integer since n even).

@@ -10,6 +10,8 @@ Weight conventions (fixed once, used consistently package-wide):
   with symbol 0 at each axis's Nyquist frequency (`grids.x_derivatives`).
 * Mixed Lebesgue norms are v-outer / x-inner, written "Lv{p}[,{r}]_Lx{q}"
   (e.g. "Lv2,1_Lx2" for the <v>-weighted L2_v of the L2_x norm, "Lv1_LxInf").
+  The mixed norms and each space-time snapshot are one reduction, `_mixed`:
+  the inner L^q over x, then the outer L^p over v (or xi), by `_lebesgue`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from boltzlab.grids import (
     Trajectory,
     VSlicedField,
     _is_dyadic,
-    _tag_from,
     axis_sum,
     eta_dot_v,
     on_axes,
@@ -144,23 +145,28 @@ def parse_mixed_order(order: str) -> tuple[float, float, float]:
     return p, r, q
 
 
+def _lebesgue(m: np.ndarray, p: float, axis, cell: float) -> np.ndarray:
+    """The cell-weighted L^p norm of m >= 0 over `axis`, the max at p = inf."""
+    if p == np.inf:
+        return m.max(axis=axis)
+    return (np.sum(m**p, axis=axis) * cell) ** (1.0 / p)
+
+
+def _mixed(field: Field, tag: FieldTag, p: float, q: float, weight=1.0) -> float:
+    """|| weight || f ||_{Lx^q} ||_{L^p} of the blocks field.v_blocks(tag):
+    the outer norm over v, or over xi when `tag` is v-spectral."""
+    grid = field.grid
+    inner = np.empty(grid.nv)
+    for iv, block in field.v_blocks(tag):
+        inner[iv] = _lebesgue(np.abs(block), q, (0, 1, 2), grid.cell_x)
+    cell = grid.cell_xi if tag.v_spectral else grid.cell_v
+    return float(_lebesgue(weight * inner, p, None, cell))
+
+
 def mixed_norm(field: Field, order: str) -> float:
     """Discrete  || <v>^r  || f(x, v) ||_{Lx^q}  ||_{Lv^p}  with cell weights."""
     p, r, q = parse_mixed_order(order)
-    grid = field.grid
-    vw2 = _bracket(grid.v_axis, r)
-    inner_vals = np.empty(grid.nv)
-    for iv, block in field.v_blocks():
-        m = np.abs(block)
-        if q == np.inf:
-            inner_vals[iv] = m.max(axis=(0, 1, 2))
-        else:
-            inner_vals[iv] = (np.sum(m**q, axis=(0, 1, 2)) * grid.cell_x) ** (1.0 / q)
-
-    weighted = vw2 * inner_vals
-    if p == np.inf:
-        return float(weighted.max())
-    return float(np.sum(weighted**p) * grid.cell_v) ** (1.0 / p)
+    return _mixed(field, FieldTag.Physical_xv, p, q, _bracket(field.grid.v_axis, r))
 
 
 def z_norm(field: PhaseField, M: float) -> float:
@@ -229,7 +235,7 @@ def lp_project(field: PhaseField, axis: str, dyad: int) -> PhaseField:
     on_x = axis == "x"
     axis_of = grid.eta_axis if on_x else grid.xi_axis
     mult = _lp_multiplier(axis_sum(lambda a: axis_of(a) ** 2), dyad, axis)
-    spec = field.to(_tag_from(on_x or field.tag.x_spectral, not on_x or field.tag.v_spectral))
+    spec = field.to(FieldTag(field.tag.value | (1 if on_x else 2)))
     data = spec.data * on_axes(mult, (0, 1, 2) if on_x else (3, 4, 5), 6)
     return PhaseField(grid, data, spec.tag).to(field.tag)
 
@@ -253,30 +259,15 @@ def spacetime_norm(traj: Trajectory, q: float, p: float, r: float | None = None)
 
     With r given, the xi exponent differs from the x exponent (the
     scaling-degenerate variant used to demonstrate failure of p != r).
-    Snapshot norms are taken in the (x, xi) representation; time uses the
-    composite trapezoid rule (q=inf takes the max over snapshots).
+    Each snapshot's norm is taken in the (x, xi) representation as the
+    mixed norm of `_mixed`: the inner L^p over x, the outer L^r (L^p when r
+    is None) over xi.  Time uses the composite trapezoid rule (q=inf takes
+    the max over snapshots).
     """
     if not (q >= 1 and p >= 1 and (r is None or r >= 1)):
         raise ValueError("exponents must lie in [1, inf]")
-    grid = traj.fields[0].grid
-
-    def snap(field: PhaseField) -> float:
-        fx = field.to(FieldTag.Spectral_x_xi)
-        m = np.abs(fx.data)
-        if r is None or r == p:
-            if p == np.inf:
-                return float(m.max())
-            return float(np.sum(m**p) * grid.cell_x * grid.cell_xi) ** (1.0 / p)
-        # inner x with exponent p, outer xi with exponent r
-        if p == np.inf:
-            inner = m.max(axis=(0, 1, 2))
-        else:
-            inner = (np.sum(m**p, axis=(0, 1, 2)) * grid.cell_x) ** (1.0 / p)
-        if r == np.inf:
-            return float(inner.max())
-        return float(np.sum(inner**r) * grid.cell_xi) ** (1.0 / r)
-
-    vals = np.array([snap(f) for f in traj.fields])
+    vals = np.array([_mixed(f, FieldTag.Spectral_x_xi, p if r is None else r, p)
+                     for f in traj.fields])
     if q == np.inf or len(traj) == 1:
         return float(vals.max())
     return float(np.trapezoid(vals**q, traj.times)) ** (1.0 / q)

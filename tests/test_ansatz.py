@@ -151,6 +151,11 @@ class TestAnsatzParams:
         with pytest.raises(ValueError, match="attenuation window"):
             AnsatzParams.make(M=16, N2=2, delta=0.2)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            AnsatzParams.make(M=4, mu=mu)
+
     def test_s0_increases_toward_s(self):
         rows = [AnsatzParams.make(M=16),
                 AnsatzParams.make(M=64, N2=8, delta=0.1),
@@ -365,8 +370,7 @@ class TestTubeDensity:
         rng = np.random.default_rng(43)
         x = np.vstack([np.zeros((1, 3)), rng.uniform(-1.5, 1.5, (40, 3)) / p8.M])
         sm = _smear()
-        c2, tab2 = sm.psi2_at(t)
-        c1, tab1 = sm.psi1_at(t / 10.0)
+        c2, tab2, c1, tab1 = sm.at(t)
         dots = x @ p8.directions.T
         perp = np.sqrt(np.clip(np.sum(x**2, axis=1)[:, None] - dots**2, 0.0, None))
         terms = (np.interp(p8.M * perp, c2, tab2, right=0.0)
@@ -385,8 +389,7 @@ class TestTubeDensity:
                        rng.uniform(-0.5, 0.5, (4, 3)) * p16.N2,
                        [[2.0 * p16.N2, 0.0, 0.0], [0.0, -1.5 * p16.N2, 3.0]]])
         sm = _smear()
-        c2, tab2 = sm.psi2_at(t)
-        c1, tab1 = sm.psi1_at(t / 10.0)
+        c2, tab2, c1, tab1 = sm.at(t)
         want = []
         for xi in x:
             dots = p16.directions @ xi
@@ -436,10 +439,9 @@ class TestTubeDensity:
         # Psi2(c;0) = Phi2 chi(c), Psi1(c;0) = Phi1 chi(c)
         bump = default_bump()
         sm = _smear()
-        c2, tab2 = sm.psi2_at(0.0)
+        c2, tab2, c1, tab1 = sm.at(0.0)
         np.testing.assert_allclose(tab2, bump.integral_2d * bump.chi(c2),
                                    atol=2e-6)
-        c1, tab1 = sm.psi1_at(0.0)
         np.testing.assert_allclose(tab1, bump.integral_1d * bump.chi(c1),
                                    atol=2e-6)
 

@@ -1,6 +1,7 @@
 """Spectral core: transforms, Plancherel, free transport, rescaling."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -605,6 +606,25 @@ class TestRescale:
             expect = expect * np.exp(-0.5 * (v / wv[a]) ** 2).reshape(sh)
         rel = np.max(np.abs(fl.data - expect)) / np.max(np.abs(expect))
         assert rel < 1e-5
+
+    def test_integer_stretch_keeps_real_data(self):
+        # a stride-only rescale of a float64 field is float64 and equals the
+        # real part of the same rescale of its complex copy bit for bit; a
+        # refined axis has a nonzero imaginary part and stays complex
+        s = ScalingTransform(2.0, 1.0, 0.0)
+        fl = rescale(self.f, s)
+        assert self.f.data.dtype == fl.data.dtype == np.float64
+        cplx = PhaseField(self.gx, self.f.data.astype(np.complex128))
+        assert np.array_equal(fl.data, rescale(cplx, s).data.real)
+        g = GridSpec((16, 16, 16), (2, 2, 2), Lx=6.0, Lv=6.0)
+        f = gaussian_oracle(g, (np.zeros(3), np.zeros(3)), ([0.4] * 3, [0.7] * 3))
+        refined = rescale(f, ScalingTransform(2.0, -1.0, 0.0)).data
+        assert refined.dtype == np.complex128 and np.any(refined.imag != 0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -2.0])
+    def test_rejects_lambda_not_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            ScalingTransform(lam, 1.0, 0.0)
 
     def test_support_escape_raises(self):
         g = GridSpec((16, 16, 16), (8, 8, 8), Lx=6.0, Lv=6.0)

@@ -287,6 +287,24 @@ class TestSpacetime:
         got = spacetime_norm(tr, 2.0, 3.0)
         assert abs(got - T ** (1 / 2.0) * snap) < 1e-10 * snap
 
+    @pytest.mark.parametrize("p, r", [(3.0, 1.5), (2.0, np.inf), (np.inf, 2.0),
+                                      (1.0, 4.0)])
+    def test_single_snapshot_with_r_is_the_nested_sum(self, p, r):
+        # the L^r over xi of the L^p over x, one xi point at a time
+        f = random_field(small_grid(), seed=54)
+        grid = f.grid
+        m = np.abs(f.to(FieldTag.Spectral_x_xi).data)
+        inner = []
+        for i, j, k in np.ndindex(grid.nv):
+            mx = m[:, :, :, i, j, k]
+            inner.append(mx.max() if p == np.inf
+                         else (np.sum(mx**p) * grid.cell_x) ** (1.0 / p))
+        inner = np.array(inner)
+        want = (inner.max() if r == np.inf
+                else (np.sum(inner**r) * grid.cell_xi) ** (1.0 / r))
+        got = spacetime_norm(Trajectory(np.array([0.0]), (f,)), 2.0, p, r=r)
+        assert got == pytest.approx(want, rel=1e-13)
+
     def test_exponents_below_one_rejected(self):
         f = random_field(small_grid(), seed=53)
         tr = Trajectory(np.array([0.0]), (f,))
