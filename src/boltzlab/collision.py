@@ -256,9 +256,8 @@ def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
         reads.append((np.flatnonzero(live), xip[live], xim[live]))
     rows, xip, xim = (np.concatenate(r) for r in zip(*reads))
     w = np.repeat(quad.weights, [r[0].size for r in reads])
-    gather = sparse.csr_array((np.ones(rows.size), (rows, np.arange(rows.size))),
-                              shape=(xi.shape[0], rows.size))
-    return w, xip, xim, gather
+    return w, xip, xim, sparse.csr_array(
+        (np.ones(rows.size), (rows, np.arange(rows.size))), shape=(xi.shape[0], rows.size))
 
 
 @functools.lru_cache(maxsize=4)
@@ -294,11 +293,11 @@ def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
 
     def read(pts, scale):
         # row i holds point i's non-zero corner weights in stencil order
-        idx, wts = np.empty((8, pts.shape[0]), np.int32), np.empty((8, pts.shape[0]))
+        idx, wts = np.empty((pts.shape[0], 8), np.int32), np.empty((pts.shape[0], 8))
         for sl in blocks(pts.shape[0], 8 * 8):
             i, wq = lattice_stencil(pts[sl], origin, step, pshape)
-            idx[:, sl], wts[:, sl] = column[i], wq * ball[i] * scale[sl]
-        op = sparse.csr_array((wts.T.ravel(), idx.T.ravel(),
+            idx[sl], wts[sl] = column[i].T, (wq * ball[i] * scale[sl]).T
+        op = sparse.csr_array((wts.ravel(), idx.ravel(),
                                np.arange(0, wts.size + 1, 8, dtype=np.int32)),
                               shape=(pts.shape[0], (2 * K + 1) ** 3))
         op.eliminate_zeros()
@@ -381,7 +380,8 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
             # spectrum: 2c real columns, no complex copy of the matrices
             Fl = _box_spectrum(fd[sl], factors)
             Gl = Fl if same else _box_spectrum(gd[sl], factors)
-            prod = (sp @ Fl).view(np.complex128) * (sm @ Gl).view(np.complex128)
+            prod = (sp @ Fl).view(np.complex128)
+            prod *= (sm @ Gl).view(np.complex128)
         else:
             prod = (w * _trig_read(fd[sl], vaxes, xip, -1.0, grid.cell_v)
                     * _trig_read(gd[sl], vaxes, xim, -1.0, grid.cell_v)).T.copy()

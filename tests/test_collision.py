@@ -557,7 +557,7 @@ class TestGainOperators:
             xim = np.outer(xi @ omega, omega)
             live += ((np.sum((xi - xim) ** 2, axis=1) <= radius**2)
                      & (np.sum(xim**2, axis=1) <= radius**2))
-        assert np.array_equal(gather.sum(axis=1), live)
+        assert np.array_equal(np.ravel(gather.sum(axis=1)), live)
 
     @pytest.mark.parametrize("nx, nv, Lv", [((16, 8, 8), (8, 8, 8), 4.0),
                                             ((1, 1, 1), (16, 16, 16), 6.0)])
