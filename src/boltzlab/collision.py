@@ -8,16 +8,16 @@ is computed in the spectral representation
 (fv, gv the continuum v-spectra) by sphere quadrature over deflection
 directions w, with the off-grid evaluation points read either trilinearly
 on the lattice k/(4Lv) of the 2x zero-padded box (default) or by exact
-trigonometric sums (oracle runs), only on rows where both points lie in
-the dealias ball.  f and g must be real, so Qhat+ is Hermitian: only the
-half lattice k3 <= n3/2 is read, and one irfftn inverts it.  Both
-interpolations form the product only on the live rows of every node,
-stacked node after node (`_live_reads`), and one 0/1 CSR gather adds each
-into its output row.  The trilinear reads are cached real CSR operators
-(`_gain_operators`) over the stacked rows, so that Qhat+ = gather
-((S+ F) (S- G)), F and G the spectra on the box [-K, K]^3 that holds the
-ball (`_box_spectrum`, taken once per x block when g is f).  x rows and
-trigonometric read points run in `grids.blocks`.  A direct physical-space quadrature — for each output
+trigonometric sums (oracle runs).  f and g must be real, so Qhat+ is
+Hermitian: only the half lattice k3 <= n3/2 is read, and one irfftn
+inverts it.  Both interpolations form the product only on the live rows,
+where both points lie in the dealias ball, of every node, stacked node
+after node (`_live_reads`); one 0/1 CSR gather adds each into its output
+row.  The trilinear reads are cached real CSR operators (`_gain_operators`)
+over the stacked rows, Qhat+ = gather ((S+ F) (S- G)), F and G the spectra
+on the box [-K, K]^3 that holds the ball (`_box_spectrum`, taken once per
+x block when g is f).  x rows and trigonometric read points run in
+`grids.blocks`.  A direct physical-space quadrature — for each output
 velocity, f and g read at the outgoing pair of every collision partner on
 the lattice — serves as a brute-force cross-check on small v-grids.  Both
 trilinear paths read through the one zero-extended multilinear stencil
