@@ -727,9 +727,10 @@ class TestDirectGain:
             k = (V[:, None, :] - V[None, :, :]) @ omega
             vstar = (V[:, None, :] - k[:, :, None] * omega).reshape(-1, 3)
             ustar = (V[None, :, :] + k[:, :, None] * omega).reshape(-1, 3)
+            sv, su = (lattice_stencil(pts, -grid.Lv, grid.dv, grid.nv)
+                      for pts in (vstar, ustar))
             for row in range(2):
-                prod = (lattice_read(fd[row], lattice_stencil(vstar, -grid.Lv, grid.dv, grid.nv))
-                        * lattice_read(gd[row], lattice_stencil(ustar, -grid.Lv, grid.dv, grid.nv)))
+                prod = lattice_read(fd[row], sv) * lattice_read(gd[row], su)
                 want[row] += w_i * prod.reshape(V.shape[0], -1).sum(axis=1)
         want *= grid.cell_v
         assert np.array_equal(got.reshape(2, -1), want.real)
