@@ -16,11 +16,12 @@ numerics are low-dimensional quadratures and table lookups, so point
 evaluation stays cheap even with 65536 tubes.  f_b, its grid sampler and the
 sharpness probe's psi_hat share one candidate search, `TubeFamily.candidates`
 (a dense pass over all J directions in `grids.blocks`, so every temporary
-stays within the package's 2 MiB block budget), and one support factor,
-`TubeFamily.support`, taken only at the live (point, tube) pairs.  rho_b
-needs every tube at every point; its blocked dense sum reuses one set of
-work buffers per call and reads the smear tables into them, uniform from 0,
-by index arithmetic with `grids.uniform_read`.
+stays within the package's 2 MiB block budget, with each block's live pairs
+read off its flat mask), and one support factor, `TubeFamily.support`, taken
+only at the live (point, tube) pairs.  rho_b needs every tube at every
+point; its blocked dense sum reuses one set of work buffers per call and
+reads the smear tables into them, uniform from 0, by index arithmetic with
+`grids.uniform_read`.
 
 The cavity is one (x-sheet, v-factor) pair behind every gridded f_r consumer:
 f_r_to_grid takes their outer product, the residual's transport leak pairs
@@ -77,11 +78,21 @@ __all__ = [
 # direction grid and parameter bundles
 # ---------------------------------------------------------------------------
 
+def _count(J) -> int:
+    """The direction count J as an int; a non-integer J is refused, not
+    truncated (an int, a numpy int or an integral float passes)."""
+    n = int(J) if math.isfinite(J) else None
+    if n != J:
+        raise ValueError(f"direction count J must be an integer, got {J}")
+    return n
+
+
 def sphere_grid(J: int) -> np.ndarray:
     """J quasi-uniform unit vectors (Fibonacci lattice), shape (J, 3)."""
+    J = _count(J)
     if J < 12:
         raise ValueError("direction grid needs J >= 12")
-    nodes, _ = fibonacci_sphere(int(J))
+    nodes, _ = fibonacci_sphere(J)
     return nodes
 
 
@@ -111,7 +122,7 @@ class TubeFamily:
             raise ValueError("N2 must be a dyadic integer >= 2")
         if J is None:
             J = (int(M) * int(N2)) ** 2
-        J = int(J)
+        J = _count(J)
         if not (M * N2) ** 2 / 2 <= J <= 2 * (M * N2) ** 2:
             raise ValueError("tube count J must lie within a factor 2 of (M*N2)^2")
         if J > 1 << 24:
@@ -131,10 +142,11 @@ class TubeFamily:
 
         Rows off the annulus 0.9 N2 <= |v| <= hypot(1.1 N2, 1/M) meet no tube.
         One dense pass over all J directions in `grids.blocks` keeps the
-        pairs whose v.e clears the lower edge of both velocity factors;
-        `support` takes chi(M |v_perp|) chi(10 (v.e - N2) / N2) there and the
-        zeros are dropped.  Each row's tubes come in ascending order, whatever
-        the block size.
+        pairs whose v.e clears the lower edge of both velocity factors,
+        read as (row, column) off each block's flat mask; `support` takes
+        chi(M |v_perp|) chi(10 (v.e - N2) / N2) there and the zeros are
+        dropped.  Each row's tubes come in ascending order, whatever the
+        block size.
         """
         speed = np.linalg.norm(v, axis=1)
         rows = np.nonzero((speed >= 0.9 * self.N2)
@@ -146,7 +158,10 @@ class TubeFamily:
                                 (0.9 * self.N2) ** 2))
         i, j = [], []
         for sl in blocks(self.J, rows.size):
-            r, c = np.nonzero(V @ self.directions[sl].T > lo[:, None])
+            # the block's (row, column) pairs in C order, read off its flat
+            # mask: 2-D np.nonzero costs over 10x more on these sparse masks
+            hit = np.flatnonzero(V @ self.directions[sl].T > lo[:, None])
+            r, c = np.divmod(hit, sl.stop - sl.start)
             i.append(r)
             j.append(c + sl.start)
         i, j = np.concatenate(i), np.concatenate(j)

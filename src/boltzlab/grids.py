@@ -317,6 +317,9 @@ class ScalingTransform:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        for name in ("alpha", "beta_exp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,15 @@ class TestSphereGrid:
         min_angle = math.acos(float(dots.max()))
         assert min_angle > 0.5 * math.sqrt(4.0 * math.pi / 12)
 
+    @pytest.mark.parametrize("J", [12.5, 256.7, math.inf, math.nan])
+    def test_rejects_non_integer_count(self, J):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sphere_grid(J)
+
+    @pytest.mark.parametrize("J", [12, np.int64(12), 12.0])
+    def test_integral_counts_accepted(self, J):
+        assert sphere_grid(J).shape == (12, 3)
+
     def test_doubling_halves_voronoi_area(self):
         areas = {}
         for J in (256, 512):
@@ -113,6 +122,13 @@ class TestTubeFamily:
             TubeFamily.make(8, 3)
         with pytest.raises(ValueError, match="factor 2"):
             TubeFamily.make(4, 4, J=3 * 256)
+
+    def test_rejects_non_integer_count(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TubeFamily.make(4, 4, 256.7)
+        for J in (256, np.int64(256), 256.0):
+            fam = TubeFamily.make(4, 4, J)
+            assert fam.J == 256 and type(fam.J) is int
 
     def test_tube_v_supports_disjoint_by_spacing(self):
         # any two tubes' velocity supports are disjoint when the angular
@@ -306,6 +322,83 @@ class TestBlockBudget:
         for small, large in zip(*runs):
             assert np.all(large != 0.0)
             np.testing.assert_allclose(small, large, rtol=1e-14)
+
+
+def _annulus_rows(fam, v):
+    speed = np.linalg.norm(v, axis=1)
+    return np.nonzero((speed >= 0.9 * fam.N2)
+                      & (speed <= math.hypot(1.1 * fam.N2, 1.0 / fam.M)))[0]
+
+
+def _dense_candidates(fam, v):
+    """`TubeFamily.candidates` on one whole (rows x J) mask read by 2-D
+    np.nonzero, with the same annulus, threshold and support."""
+    rows = _annulus_rows(fam, v)
+    speed = np.linalg.norm(v[rows], axis=1)
+    lo = np.sqrt(np.maximum(speed ** 2 - 1.0 / fam.M**2, (0.9 * fam.N2) ** 2))
+    r, c = np.nonzero(v[rows] @ fam.directions.T > lo[:, None])
+    vfac = fam.support(v[rows][r] - fam.N2 * fam.directions[c], c, fam.M,
+                       10.0 / fam.N2)
+    live = vfac > 0.0
+    return rows[r[live]], c[live], vfac[live]
+
+
+def _tube_velocities(fam, rng, n, spread):
+    """n velocities near random tubes' support centres N2 e: along e inside
+    the parallel factor, across it up to spread/M per axis."""
+    e = fam.directions[rng.integers(0, fam.J, n)]
+    return (fam.N2 * (1.0 + rng.uniform(-0.05, 0.05, (n, 1))) * e
+            + rng.uniform(-spread, spread, (n, 3)) / fam.M)
+
+
+class TestCandidates:
+    # block widths: the default budget, one that leaves a short last block,
+    # and one direction per block
+    @pytest.mark.parametrize("width", [None, 1000, 1],
+                             ids=["default", "short_last_block", "one_direction"])
+    def test_matches_one_dense_mask(self, p8, width, monkeypatch):
+        fam, rng = p8.tube, np.random.default_rng(45)
+        off = np.array([[0.0, 0.0, 0.0], [0.5 * fam.N2, 0.0, 0.0],
+                        [0.0, 2.0 * fam.N2, 0.0], [0.0, 0.0, -0.89 * fam.N2]])
+        # spread 0.8/M reaches past the 1/M support radius, so some pairs
+        # pass the threshold and are then dropped by the support factor
+        v = np.concatenate([_tube_velocities(fam, rng, 40, 0.8), off])
+        v = v[rng.permutation(v.shape[0])]
+        on = _annulus_rows(fam, v)
+        if width is not None:
+            # blocks() divides the budget by the annulus row count
+            monkeypatch.setattr(grids, "_BLOCK", width * on.size)
+            assert width == 1 or fam.J % width != 0
+        rows, tubes, vfac = fam.candidates(v)
+        assert np.unique(rows).size > 30 and np.isin(rows, on).all()
+        for row in np.unique(rows):
+            assert np.all(np.diff(tubes[rows == row]) > 0)
+        order = np.argsort(rows, kind="stable")
+        for got, ref in zip((rows[order], tubes[order], vfac[order]),
+                            _dense_candidates(fam, v)):
+            assert np.array_equal(got, ref)
+
+    def test_every_row_off_the_annulus(self, p8):
+        fam = p8.tube
+        v = np.array([[0.0, 0.0, 0.0], [0.5 * fam.N2, 0.0, 0.0],
+                      [0.0, 0.0, 1.2 * fam.N2]])
+        rows, tubes, vfac = fam.candidates(v)
+        assert rows.size == tubes.size == vfac.size == 0
+        for got, ref in zip((rows, tubes, vfac), _dense_candidates(fam, v)):
+            assert np.array_equal(got, ref) and got.dtype == ref.dtype
+
+    def test_traced_peak_within_one_block_and_its_mask(self, p16):
+        # one (rows x block) float64 product and its boolean mask: 2.25 MiB
+        fam = p16.tube
+        v = _tube_velocities(fam, np.random.default_rng(46), 256, 0.3)
+        tracemalloc.start()
+        try:
+            rows, _, _ = fam.candidates(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == 256
+        assert peak <= 1.25 * (grids._BLOCK * 8 + grids._BLOCK)
 
 
 class TestTubeDensity:

@@ -621,10 +621,17 @@ class TestRescale:
         refined = rescale(f, ScalingTransform(2.0, -1.0, 0.0)).data
         assert refined.dtype == np.complex128 and np.any(refined.imag != 0)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -2.0])
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 0.0, -2.0])
     def test_rejects_lambda_not_positive_and_finite(self, lam):
         with pytest.raises(ValueError, match="lambda must be positive and finite"):
             ScalingTransform(lam, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["alpha", "beta_exp"])
+    def test_rejects_non_finite_exponent(self, field, value):
+        args = {"lam": 2.0, "alpha": 1.0, "beta_exp": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScalingTransform(**args)
 
     def test_support_escape_raises(self):
         g = GridSpec((16, 16, 16), (8, 8, 8), Lx=6.0, Lv=6.0)
