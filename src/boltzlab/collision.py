@@ -8,21 +8,21 @@ is computed in the spectral representation
 (fv, gv the continuum v-spectra) by sphere quadrature over deflection
 directions w, with the off-grid evaluation points read either trilinearly
 on the lattice k/(4Lv) of the 2x zero-padded box (default) or by exact
-trigonometric sums (oracle runs).  f and g must be real, so Qhat+ is
-Hermitian: only the half lattice k3 <= n3/2 is read, and one irfftn
-inverts it.  Both interpolations form the product only on the live rows,
-where both points lie in the dealias ball, of every node, stacked node
-after node (`_live_reads`); one 0/1 CSR gather adds each into its output
-row.  The trilinear reads are cached real CSR operators (`_gain_operators`)
-over the stacked rows, Qhat+ = gather ((S+ F) (S- G)), F and G the spectra
-on the box [-K, K]^3 that holds the ball (`_box_spectrum`, taken once per
-x block when g is f).  x rows and trigonometric read points run in
-`grids.blocks`.  A direct physical-space quadrature — for each output
-velocity, f and g read at the outgoing pair of every collision partner on
-the lattice — serves as a brute-force cross-check on small v-grids.  Both
-trilinear paths read through the one zero-extended multilinear stencil
-`grids.lattice_stencil`.  Input supports are confined to the ball of
-radius (1 - dealias_margin) * Nyquist so that no evaluation wraps around.
+trigonometric sums (oracle runs).  f and g are real, so a read at a point
+with k3 < 0 is the conjugate of the read at its mirror, and only the half
+lattice k3 <= n3/2 of Qhat+ is formed.  Both interpolations form the
+product only on the live rows of every node, where both points lie in the
+dealias ball (`_live_reads`); one 0/1 CSR gather adds them into the
+smallest output box that holds them, and three GEMMs invert it.  The
+trilinear reads of both sides are one cached real CSR operator
+(`_gain_operators`) on the spectra over the half box [-K, K]^2 x [0, K]
+that holds the ball (`_box_spectrum`).  x rows and trigonometric read
+points run in `grids.blocks`.  A direct physical-space quadrature (f and g
+read at the outgoing pair of every collision partner on the lattice)
+cross-checks small v-grids.  Both trilinear paths read through the one
+zero-extended stencil `grids.lattice_stencil`.  Input supports are confined
+to the ball of radius (1 - dealias_margin) * Nyquist so that no evaluation
+wraps around.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.fft as sfft
 from scipy import sparse
 
 from .grids import (
@@ -42,7 +41,6 @@ from .grids import (
     PhaseField,
     Storage,
     VSlicedField,
-    _edge_sign,
     _ft,
     axis_sum,
     blocks,
@@ -142,18 +140,22 @@ class CollisionConfig:
     """Knobs for the collision operators.
 
     interpolation selects how off-lattice points are read: Trilinear
-    (cheap; grids.lattice_stencil reads, zero-extended, of the padded
-    spectral lattice for the spectral gain and of the physical v-lattice
-    for the direct one) or Trig (exact trigonometric sums, oracle-grade).
-    dealias_margin m is the fraction of the spectral radius zeroed before
-    the gain quadrature; reads outside that ball weigh zero, so any m > 0
-    keeps them off the padded Nyquist cell.  For m >= 1 - 1/sqrt(2) (about
-    0.293; the default 1/3) one of xi+- leaves the ball wherever |xi| >=
-    Nyquist, so the gain spectrum vanishes on the output Nyquist planes and
-    the half-lattice irfftn equals the real part of the full inverse to
-    rounding.  Below that those planes are read once, at -Nyquist: for
-    smooth blobs on 8^3 v-grids the output moves by 0.8-2.5e-4 (m = 0) and
-    3-9e-6 (m = 0.25) of its maximum.  DIRECT_CAP guards the oracle's cost.
+    (grids.lattice_stencil reads, zero-extended, of the padded spectral
+    lattice for the spectral gain and of the physical v-lattice for the
+    direct one) or Trig (exact trigonometric sums, oracle-grade).  The
+    Trilinear gain misses energy and momentum at 16-256 nodes: for two
+    displaced Maxwellians (1 x 16^3, Lv = 6) E(Q)/E(Q+) is 0.22-0.25 and
+    |momentum of Q| / mass of Q+ 2.0-3.4e-2, against |E(Q)/E(Q+)| 5e-4 to
+    1.1e-3 and 3-8e-3 with Trig reads (64 nodes).  dealias_margin m is the
+    fraction of the spectral radius zeroed before the gain quadrature;
+    reads outside that ball weigh zero, so any m > 0 keeps them off the
+    padded Nyquist cell.  For m >= 1 - 1/sqrt(2) (about 0.293; the default
+    1/3) one of xi+- leaves the ball wherever |xi| >= Nyquist, so the gain
+    spectrum vanishes on the output Nyquist planes and the half-lattice
+    inverse equals the real part of the full one to rounding.  Below that
+    those planes are read once, at -Nyquist: for smooth blobs on 8^3
+    v-grids the output moves by 0.8-2.5e-4 (m = 0) and 3-9e-6 (m = 0.25)
+    of its maximum.  DIRECT_CAP guards the oracle's cost.
     """
 
     quadrature: SphereQuadrature = dataclass_field(
@@ -223,8 +225,8 @@ def _dealias_radius(grid: GridSpec, margin: float) -> float:
 
 def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
     """Continuum spectra sum_v f(v) exp(-2 pi i xi.v) of the (c, nv) real
-    chunk at xi = k/(4Lv), k in the box [-K, K]^3: three GEMMs with the
-    (2K+1, n_a) phase factors of `_gain_operators`, the last axis contracted
+    chunk at xi = k/(4Lv), k in the half box [-K, K]^2 x [0, K]: three GEMMs
+    with the phase factors of `_gain_operators`, the last axis contracted
     first through a float64 view of its factor.  The float64 view (P, 2c) of
     the (P, c) complex result, box points in C order, is what the operators
     read; the cell volume is left to them."""
@@ -238,75 +240,92 @@ def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
 
 
 def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
-    """(w, xi+, xi-, gather) of the live rows of every node w, node after
-    node: the rows xi (FFT order) of the half lattice k3 <= n3/2 whose reads
-    xi+ = xi - (xi.w)w and xi- = (xi.w)w both lie in the dealias ball, each
-    with its node weight, and the (half lattice, live rows) 0/1 CSR matrix
-    that adds each into its xi.  A CSR row sums its entries in column order
-    from zero, so the gather adds the nodes in node order."""
-    xi3 = grid.xi_axis(2)[:grid.nv[2] // 2 + 1]
-    mesh = np.meshgrid(grid.xi_axis(0), grid.xi_axis(1), xi3, indexing="ij")
-    xi = np.stack([m.ravel() for m in mesh], axis=-1)  # (n1 n2 (n3/2 + 1), 3)
+    """(w, points, flip, conj, gather, inverse) of the live rows xi of the
+    half lattice k3 <= n3/2 (FFT order) whose reads xi+ = xi - (xi.w)w and
+    xi- = (xi.w)w at a node w (weight w) both lie in the dealias ball.
+    points holds the reads, xi+ then xi-; flip marks those p with p3 < 0,
+    read at -p.  The rows run in four groups by (xi+, xi- flipped): (no,
+    no), (no, yes), (yes, yes), (yes, no), node after node; conj holds each
+    side's flipped slice.  The 0/1 CSR gather adds the rows, group after
+    group, into their xi on the box of the positions they take per axis;
+    inverse holds its factors exp(2 pi i v xi), the last as real and minus
+    imaginary rows times cell_xi and the irfft weights (1 on the DC and
+    Nyquist rows, else 2)."""
+    n3 = grid.nv[2]
+    axes = [grid.xi_axis(0), grid.xi_axis(1), grid.xi_axis(2)[:n3 // 2 + 1]]
+    half = (grid.nv[0], grid.nv[1], n3 // 2 + 1)
+    xi = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     reads = []
     for omega in quad.nodes:
-        xim = (xi @ omega)[:, None] * omega[None, :]
-        xip = xi - xim
-        live = ((np.sum(xip**2, axis=1) <= radius**2)
-                & (np.sum(xim**2, axis=1) <= radius**2))
-        reads.append((np.flatnonzero(live), xip[live], xim[live]))
-    rows, xip, xim = (np.concatenate(r) for r in zip(*reads))
-    w = np.repeat(quad.weights, [r[0].size for r in reads])
-    return w, xip, xim, sparse.csr_array(
-        (np.ones(rows.size), (rows, np.arange(rows.size))), shape=(xi.shape[0], rows.size))
+        xim = omega[:, None] * (xi @ omega)  # (3, rows) columns
+        xip = xi.T - xim
+        live = ((np.sum(xip**2, axis=0) <= radius**2)
+                & (np.sum(xim**2, axis=0) <= radius**2))
+        reads.append((np.flatnonzero(live), xip[:, live], xim[:, live]))
+    rows, xip, xim = (np.concatenate(r, axis=-1) for r in zip(*reads))
+    flip = xip[2] < 0, xim[2] < 0
+    group = (flip[0] ^ flip[1]).view(np.int8) + 2 * flip[0].view(np.int8)
+    order = np.argsort(group, kind="stable")
+    b1, b2, b3 = np.searchsorted(group[order], [1, 2, 3])
+    both = np.concatenate((order, order + rows.size))
+    points = np.concatenate((xip, xim), axis=1)[:, both].T
+    at = np.unravel_index(rows[order], half)
+    used = [np.flatnonzero(np.bincount(i, minlength=n)) for i, n in zip(at, half)]
+    box = tuple(u.size for u in used)
+    gather = sparse.csr_array((np.ones(rows.size), (np.ravel_multi_index(
+        [np.searchsorted(u, i) for u, i in zip(used, at)], box), np.arange(rows.size))),
+        shape=(math.prod(box), rows.size))
+    e = [np.exp(2j * np.pi * np.outer(grid.v_axis(a), axes[a][u])) for a, u in enumerate(used)]
+    e[2] *= np.where((used[2] == 0) | (2 * used[2] == n3), 1.0, 2.0) * grid.cell_xi
+    e[2] = np.stack((e[2].real.T, -e[2].imag.T), axis=1).reshape(-1, n3)
+    w = np.repeat(quad.weights, [r[0].size for r in reads])[order]
+    return (w, points, np.concatenate(flip)[both], (slice(b2, rows.size), slice(b1, b3)),
+            gather, tuple(e))
 
 
 @functools.lru_cache(maxsize=4)
 def _gain_operators(grid: GridSpec, nodes: bytes, weights: bytes,
                     radius: float) -> tuple:
-    """(factors, S+, S-, gather), all read-only: the three (2K+1, n_a) phase
-    factors of `_box_spectrum`, and the real CSR reads S+ and S- of shape
-    (live rows, (2K+1)^3) whose products with the float64 view of a box
-    spectrum give the multilinear reads at xi+ and xi- of the stacked live
-    rows of `_live_reads`, with its gather: Qhat+ = gather ((S+ F) (S- G)).
-
-    The reads run on the lattice xi = k/(4Lv), k in [-n, n), and weigh only
-    corners in the dealias ball, whose largest |k_a| is K; a column is the
-    C-order box index of k + K.  S+ folds in each row's node weight and
-    cell_v**2.  The stencils are built in `grids.blocks` of rows.  A time
-    loop pays the build once per (grid, nodes, weights, radius); the four
-    latest sets stay cached."""
+    """(factors, R, conj, gather, inverse), read-only: the factors of
+    `_box_spectrum`; the real CSR R whose product with the float64 view of
+    a box spectrum reads it at the points of `_live_reads`, rows S+ then
+    S-; and conj, gather and inverse of `_live_reads`.  The stencils run on
+    k/(4Lv), k in [-n, n), weigh only corners in the ball (|k_a| <= K), and
+    read column (k1 + K, k2 + K, k3) of the half box, or that of -k where
+    the point is flipped.  S+ folds in the node weights and cell_v**2.  A
+    time loop pays the build once per (grid, nodes, weights, radius); the
+    four latest sets stay cached."""
     quad = SphereQuadrature(np.frombuffer(nodes).reshape(-1, 3),
                             np.frombuffer(weights))
     nv = grid.nv
     pshape = tuple(2 * n for n in nv)
     step = 1.0 / (4.0 * grid.Lv)
-    origin = -np.array(nv) * step
     k = np.indices(pshape).reshape(3, -1) - np.array(nv)[:, None]
     ball = np.sum((k * step) ** 2, axis=0) <= radius**2
     K = int(np.max(np.abs(k[:, ball])))
-    # a clipped column lies off the ball, where every read weighs zero
-    column = np.ravel_multi_index(k + K, (2 * K + 1,) * 3, mode="clip")
+    shape = (2 * K + 1, 2 * K + 1, K + 1)
+    # the columns of k, then of -k; a clipped one is off the ball or at k3 < 0
+    column = np.concatenate([np.ravel_multi_index(s * k + np.array([[K], [K], [0]]),
+                                                  shape, mode="clip") for s in (1, -1)])
     box = np.arange(-K, K + 1) * step
-    factors = tuple(np.exp(-2j * np.pi * np.outer(box, grid.v_axis(a)))
-                    for a in range(3))
-    w, xip, xim, gather = _live_reads(grid, quad, radius)
-
-    def read(pts, scale):
-        # row i holds point i's non-zero corner weights in stencil order
-        idx, wts = np.empty((pts.shape[0], 8), np.int32), np.empty((pts.shape[0], 8))
-        for sl in blocks(pts.shape[0], 8 * 8):
-            i, wq = lattice_stencil(pts[sl], origin, step, pshape)
-            idx[sl], wts[sl] = column[i].T, (wq * ball[i] * scale[sl]).T
-        op = sparse.csr_array((wts.ravel(), idx.ravel(),
-                               np.arange(0, wts.size + 1, 8, dtype=np.int32)),
-                              shape=(pts.shape[0], (2 * K + 1) ** 3))
-        op.eliminate_zeros()
-        return op
-
-    ops = read(xip, w * grid.cell_v**2), read(xim, np.ones_like(w)), gather
-    for arr in (*factors, *(a for op in ops for a in (op.data, op.indices, op.indptr))):
+    factors = tuple(np.exp(-2j * np.pi * np.outer(b, grid.v_axis(a)))
+                    for a, b in enumerate((box, box, box[K:])))
+    w, points, flip, conj, gather, inverse = _live_reads(grid, quad, radius)
+    scale = np.concatenate((w * grid.cell_v**2, np.ones(w.size)))
+    # row i holds point i's non-zero corner weights in stencil order
+    idx, wts = np.empty((len(points), 8), np.int32), np.empty((len(points), 8))
+    for sl in blocks(len(points), 8 * 8):
+        i, wq = lattice_stencil(points[sl], -np.array(nv) * step, step, pshape)
+        idx[sl] = column[i + k.shape[1] * flip[sl]].T
+        wts[sl] = (wq * ball[i] * scale[sl]).T
+    R = sparse.csr_array((wts.ravel(), idx.ravel(),
+                          np.arange(0, wts.size + 1, 8, dtype=np.int32)),
+                         shape=(len(points), math.prod(shape)))
+    R.eliminate_zeros()
+    for arr in (*factors, *inverse, *(a for op in (R, gather)
+                                      for a in (op.data, op.indices, op.indptr))):
         arr.flags.writeable = False
-    return (factors, *ops)
+    return factors, R, conj, gather, inverse
 
 
 def _trig_read(data: np.ndarray, axes: list[np.ndarray], points: np.ndarray,
@@ -340,8 +359,9 @@ def _require_full_physical(f, name: str) -> None:
 def gain_term_spectral(f: PhaseField, g: PhaseField,
                        cfg: CollisionConfig) -> PhaseField:
     """Q+(f,g) of real f and g via the spectral sphere-quadrature form: the
-    half spectrum k3 <= n3/2 and one irfftn into a float64 field.  Raises
-    ValueError if f or g is complex with a nonzero imaginary part."""
+    half spectrum k3 <= n3/2 on the output box of the live rows, inverted by
+    three GEMMs into a float64 field.  Raises ValueError if f or g is
+    complex with a nonzero imaginary part."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
     same = g is f or g.data is f.data
@@ -352,43 +372,43 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     grid = f.grid
     quad = cfg.quadrature
     radius = _dealias_radius(grid, cfg.dealias_margin)
-    nvtot = math.prod(grid.nv)
-    nxtot = math.prod(grid.nx)
-    half = grid.nv[:2] + (grid.nv[2] // 2 + 1,)
+    nxtot, nvtot = math.prod(grid.nx), math.prod(grid.nv)
     trilinear = cfg.interpolation is Interpolation.Trilinear
     if trilinear:
-        factors, sp, sm, gather = _gain_operators(
+        factors, R, conj, gather, (e0, e1, e2) = _gain_operators(
             grid, quad.nodes.tobytes(), quad.weights.tobytes(), radius)
-    else:
-        # exact forward-transform samples F(xi) = sum_v f(v) exp(-2 pi i xi.v)
-        # * cell at the live rows' (xi+, xi-) points
+    else:  # exact samples cell * sum_v f(v) exp(-2 pi i xi.v) at the reads
         vaxes = [grid.v_axis(a) for a in range(3)]
-        w, xip, xim, gather = _live_reads(grid, quad, radius)
-
+        w, points, flip, conj, gather, (e0, e1, e2) = _live_reads(grid, quad, radius)
+        points = np.where(flip[:, None], -points, points)
+    live = gather.shape[1]
     fd, gd = (h.data.real.reshape((nxtot,) + grid.nv) for h in (f, g))
-    # the inverse's edge sign and 1/cell on the half lattice
-    inv_sign = _edge_sign((1,) + grid.nv, (1, 2, 3),
-                          1.0 / grid.cell_v)[..., :half[2]]
     out = np.empty((nxtot, nvtot))
 
-    # one box spectrum row holds (2K+1)^3 complex entries: at most about
-    # 16 Nv float64 (margin 0, K = n)
+    # a half box spectrum row holds at most about 8 Nv float64 (margin 0)
     for sl in blocks(nxtot, 16 * nvtot):
         rows = sl.stop - sl.start
         if trilinear:
-            # the real operators act on the float64 view of the box
-            # spectrum: 2c real columns, no complex copy of the matrices
-            Fl = _box_spectrum(fd[sl], factors)
-            Gl = Fl if same else _box_spectrum(gd[sl], factors)
-            prod = (sp @ Fl).view(np.complex128)
-            prod *= (sm @ Gl).view(np.complex128)
+            # one real read of the float64 view of the box spectra, f's
+            # beside g's when g is not f: S+ reads f, S- reads g
+            F = _box_spectrum(fd[sl], factors)
+            if not same:
+                F = np.hstack((F, _box_spectrum(gd[sl], factors)))
+            a = (R @ F).view(np.complex128)
+            a, b = a[:live, :rows], a[live:, -rows:]
         else:
-            prod = (w * _trig_read(fd[sl], vaxes, xip, -1.0, grid.cell_v)
-                    * _trig_read(gd[sl], vaxes, xim, -1.0, grid.cell_v)).T.copy()
-        # every node's live rows into their xi, on the float64 view
-        acc = (gather @ prod.view(np.float64)).view(np.complex128).T
-        out[sl] = sfft.irfftn(acc.reshape((rows,) + half) * inv_sign, s=grid.nv,
-                              axes=(1, 2, 3), overwrite_x=True).reshape(rows, nvtot)
+            a = (w * _trig_read(fd[sl], vaxes, points[:live], -1.0, grid.cell_v)).T
+            b = _trig_read(gd[sl], vaxes, points[live:], -1.0, grid.cell_v).T
+        for side, at in zip((a, b), conj):  # the reads at p from those at -p
+            np.conjugate(side[at], out=side[at])
+        a *= b
+        # the live rows into their xi on the output box, then its inverse:
+        # two complex GEMMs and a real one on the float64 view
+        acc = (gather @ np.ascontiguousarray(a).view(np.float64)).view(np.complex128)
+        t = (e0 @ acc.reshape(e0.shape[1], -1)).reshape(e0.shape[0], e1.shape[1], -1)
+        t = (e1 @ t).reshape(e0.shape[0], e1.shape[0], -1, rows).transpose(3, 0, 1, 2)
+        np.matmul(np.ascontiguousarray(t).view(np.float64).reshape(-1, e2.shape[0]), e2,
+                  out=out[sl].reshape(-1, e2.shape[1]))
 
     return PhaseField(grid, out.reshape(grid.shape), FieldTag.Physical_xv)
 
@@ -492,9 +512,10 @@ def moments(f) -> tuple[float, np.ndarray, float]:
 def maxwellian(grid: GridSpec, rho: float = 1.0, temperature: float = 1.0,
                mean=(0.0, 0.0, 0.0)) -> PhaseField:
     """Spatially uniform Maxwellian rho (2 pi T)^{-3/2} exp(-|v-u|^2 / 2T)."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     mean = np.asarray(mean, dtype=float)
+    if not (0 < temperature < math.inf and math.isfinite(rho) and np.all(np.isfinite(mean))):
+        raise ValueError("need finite rho and mean and a positive finite temperature, "
+                         f"got rho={rho}, temperature={temperature}, mean={mean}")
     amp = rho * (2.0 * np.pi * temperature) ** -1.5
     data = np.full(grid.shape, amp)
     for a in range(3):

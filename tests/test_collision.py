@@ -1,6 +1,7 @@
 """Collision operators: geometry, loss/gain terms, invariants, oracle."""
 
 import importlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -99,7 +100,8 @@ def reference_spectrum(f, g, cfg):
 
 
 def box_operators(grid, margin, quad=SphereQuadrature.fibonacci(1)):
-    """(factors, S+, S-, gather) of the spectral gain at a dealias margin."""
+    """(factors, R, conj, gather, inverse) of the spectral gain at a dealias
+    margin."""
     return C._gain_operators(grid, quad.nodes.tobytes(), quad.weights.tobytes(),
                              C._dealias_radius(grid, margin))
 
@@ -114,6 +116,16 @@ def reference_inverse(acc, grid):
                                    acc.reshape((-1,) + grid.nv), *inv,
                                    optimize=True)
     return out.real.reshape(grid.shape)
+
+
+def half_row_inverse(acc, grid):
+    """`reference_inverse` of the rows k3 <= n3/2 of (Nx, Nv) spectra alone,
+    as irfft weighs them: the DC and Nyquist rows once, the others twice."""
+    n3 = grid.nv[2]
+    rows = np.zeros(n3)
+    rows[:n3 // 2 + 1] = 2.0
+    rows[[0, n3 // 2]] = 1.0
+    return reference_inverse(acc.reshape((-1,) + grid.nv) * rows, grid)
 
 
 def reference_gain(f, g, cfg):
@@ -446,26 +458,38 @@ class TestGainOperators:
     def test_margin_below_threshold_inverts_the_half_rows(self, margin, lo, hi):
         # below m = 1 - 1/sqrt(2) the spectrum is not Hermitian on the output
         # Nyquist planes: the gain is the Hermitian extension of its rows
-        # k3 <= n3/2 (irfftn), which moves it off the real part of the full
-        # inverse by the documented amount; above the threshold not at all
+        # k3 <= n3/2, which moves it off the real part of the full inverse
+        # by the documented amount; above the threshold not at all
         grid = oracle_grid()
         rng = np.random.default_rng(51)
         f = smooth_blob(grid, rng)
         g = smooth_blob(grid, rng)
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16),
                               dealias_margin=margin)
-        acc = reference_spectrum(f, g, cfg).reshape((-1,) + grid.nv)
-        n3 = grid.nv[2]
-        # irfft along k3: the DC and Nyquist rows once, the others twice
-        rows = np.zeros(n3)
-        rows[:n3 // 2 + 1] = 2.0
-        rows[[0, n3 // 2]] = 1.0
-        half = reference_inverse(acc * rows, grid)
+        acc = reference_spectrum(f, g, cfg)
+        half = half_row_inverse(acc, grid)
         full = reference_inverse(acc, grid)
         got = gain_term_spectral(f, g, cfg).data.real
         scale = np.max(np.abs(full))
         assert np.max(np.abs(got - half)) <= 1e-13 * scale
         assert lo <= np.max(np.abs(got - full)) / scale <= hi
+
+    @pytest.mark.parametrize("margin", [0.0, 0.25, 0.30])
+    @pytest.mark.parametrize("nv", [(8, 4, 2), (4, 2, 8), (2, 8, 4)])
+    def test_two_point_axis_inverts_the_half_rows(self, nv, margin):
+        # unequal axes with a 2-point one: where it is the last axis its DC
+        # and Nyquist rows are the whole half, so every row of the inverse
+        # has weight 1 there and 2 on the 4- and 8-point last axes
+        grid = GridSpec((2, 1, 1), nv, Lx=1.0, Lv=4.0)
+        rng = np.random.default_rng(52)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        g = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(16),
+                              dealias_margin=margin)
+        acc = reference_spectrum(f, g, cfg)
+        got = gain_term_spectral(f, g, cfg).data.real
+        scale = np.max(np.abs(reference_inverse(acc, grid)))
+        assert np.max(np.abs(got - half_row_inverse(acc, grid))) <= 1e-13 * scale
 
     def test_second_call_hits_the_cache(self):
         grid = oracle_grid()
@@ -515,18 +539,21 @@ class TestGainOperators:
         f = smooth_blob(grid, np.random.default_rng(45))
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(4))
         gain_term_spectral(f, f, cfg)
-        factors, sp, sm, gather = C._gain_operators(
+        factors, R, _, gather, inverse = C._gain_operators(
             grid, cfg.quadrature.nodes.tobytes(), cfg.quadrature.weights.tobytes(),
             C._dealias_radius(grid, cfg.dealias_margin))
         assert not any(e.flags.writeable for e in factors)
+        assert not any(e.flags.writeable for e in inverse)
         # the live rows of the 4 nodes on the half output lattice k3 <= 4,
-        # read from the box [-5, 5]^3 that holds the dealias ball of the 16^3
-        # padded lattice
+        # read from the half box [-5, 5]^2 x [0, 5] that holds the k3 >= 0
+        # half of the dealias ball of the 16^3 padded lattice, S+ rows then
+        # S- rows, and added into the output box |k1|, |k2| <= 3, k3 <= 3
         live = gather.shape[1]
         assert live <= 4 * 8 * 8 * 5
-        assert sp.shape == sm.shape == (live, 11**3)
-        assert gather.shape == (8 * 8 * 5, live)
-        for op in (sp, sm, gather):
+        assert R.shape == (2 * live, 11 * 11 * 6)
+        assert gather.shape == (7 * 7 * 4, live)
+        assert [e.shape for e in inverse] == [(8, 7), (8, 7), (2 * 4, 8)]
+        for op in (R, gather):
             for arr in (op.data, op.indices, op.indptr):
                 assert not arr.flags.writeable
 
@@ -540,24 +567,40 @@ class TestGainOperators:
     def test_sides_share_their_live_rows(self, nx, nv, Lv, n, nnz):
         # a row is built only where both xi+ and xi- lie in the dealias ball,
         # so every row of S+ and S- reads something, and the gather adds
-        # each live row once into the xi it came from
+        # each live row once into the xi it came from, on the box of the
+        # half-lattice positions the live rows take per axis
         grid = GridSpec(nx, nv, Lx=1.0, Lv=Lv, full_cap=24**6)
         quad = SphereQuadrature.fibonacci(n)
         radius = C._dealias_radius(grid, 1.0 / 3.0)
-        _, sp, sm, gather = box_operators(grid, 1.0 / 3.0, quad)
+        _, R, conj, gather, _ = box_operators(grid, 1.0 / 3.0, quad)
+        rows = gather.shape[1]
+        sp, sm = R[:rows], R[rows:]
         assert np.all(np.diff(sp.indptr) > 0) and np.all(np.diff(sm.indptr) > 0)
         assert sp.nnz + sm.nnz == nnz
         cols = gather.tocsc()
         assert np.all(np.diff(cols.indptr) == 1) and np.all(cols.data == 1.0)
-        xi = np.stack(np.meshgrid(grid.xi_axis(0), grid.xi_axis(1),
-                                  grid.xi_axis(2)[:nv[2] // 2 + 1], indexing="ij"),
-                      axis=-1).reshape(-1, 3)
+        axes = (grid.xi_axis(0), grid.xi_axis(1), grid.xi_axis(2)[:nv[2] // 2 + 1])
+        xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         live = np.zeros(xi.shape[0])
         for omega in quad.nodes:
             xim = np.outer(xi @ omega, omega)
             live += ((np.sum((xi - xim) ** 2, axis=1) <= radius**2)
                      & (np.sum(xim**2, axis=1) <= radius**2))
-        assert np.array_equal(np.ravel(gather.sum(axis=1)), live)
+        live = live.reshape([a.size for a in axes])
+        used = [np.flatnonzero(live.sum(axis=tuple({0, 1, 2} - {a})))
+                for a in range(3)]
+        assert np.array_equal(np.ravel(gather.sum(axis=1)), live[np.ix_(*used)].ravel())
+        # the conjugated rows are exactly those whose read point was mirrored,
+        # and each row's two reads add up to the xi the gather takes it to
+        _, points, flip, conj_reads, _, _ = C._live_reads(grid, quad, radius)
+        assert conj_reads == conj
+        mirrored = np.zeros(2 * rows, bool)
+        mirrored[conj[0]] = mirrored[rows:][conj[1]] = True
+        assert np.array_equal(flip, mirrored)
+        assert np.array_equal(flip, points[:, 2] < 0)
+        box = np.unravel_index(cols.indices, [u.size for u in used])
+        to = np.stack([a[u[i]] for a, u, i in zip(axes, used, box)], axis=-1)
+        assert np.max(np.abs(points[:rows] + points[rows:] - to)) <= 1e-15 * np.max(np.abs(to))
 
     @pytest.mark.parametrize("nx, nv, Lv", [((16, 8, 8), (8, 8, 8), 4.0),
                                             ((1, 1, 1), (16, 16, 16), 6.0)])
@@ -582,8 +625,8 @@ class TestGainOperators:
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8),
                               interpolation=interp)
         whole = gain_term_spectral(f, g, cfg).data
-        # three x rows per block at 16 Nv float64 each (the bound of a box
-        # spectrum row): 22 blocks; the Trig reads then take 64 points per
+        # three x rows per block at 16 Nv float64 each (the gain's budget
+        # per x row): 22 blocks; the Trig reads then take 64 points per
         # block
         monkeypatch.setattr(grids, "_BLOCK", 3 * 16 * 512)
         blocked = gain_term_spectral(f, g, cfg).data
@@ -636,8 +679,9 @@ class TestBoxSpectrum:
         chunk = np.random.default_rng(47).standard_normal((c,) + nv)
         # the gain passes the real part of complex rows: a strided view
         got = C._box_spectrum(chunk.astype(complex).real, factors)
-        assert got.dtype == np.float64 and got.shape == ((2 * K + 1) ** 3, 2 * c)
-        want = np.moveaxis(self.direct_dft(chunk, grid, K), 0, -1).reshape(-1, c)
+        assert got.dtype == np.float64 and got.shape == ((2 * K + 1) ** 2 * (K + 1), 2 * c)
+        # the half k3 >= 0 of the direct DFT; f is real, so it holds the max
+        want = np.moveaxis(self.direct_dft(chunk, grid, K)[..., K:], 0, -1).reshape(-1, c)
         got = got.view(np.complex128)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
@@ -645,9 +689,11 @@ class TestBoxSpectrum:
     @pytest.mark.parametrize("nv", [(8, 8, 8), (16, 16, 16), (8, 4, 2)])
     def test_box_is_the_smallest_that_holds_the_ball(self, nv, margin):
         grid = GridSpec((1, 1, 1), nv, Lx=1.0, Lv=4.0)
-        factors, sp, sm, _ = box_operators(grid, margin, SphereQuadrature.fibonacci(8))
+        factors, R, _, gather, inverse = box_operators(grid, margin,
+                                                       SphereQuadrature.fibonacci(8))
         K = (factors[0].shape[0] - 1) // 2
-        assert [e.shape for e in factors] == [(2 * K + 1, n) for n in nv]
+        assert [e.shape for e in factors] == [(2 * K + 1, nv[0]), (2 * K + 1, nv[1]),
+                                              (K + 1, nv[2])]
         assert not any(e.flags.writeable for e in factors)  # cached, shared
         # every lattice point k in [-n, n)^3 of the ball, by its own sum
         step = 1.0 / (4.0 * grid.Lv)
@@ -658,12 +704,18 @@ class TestBoxSpectrum:
         assert K == np.max(np.abs(inside))
         if margin == 0.0:
             assert K == min(nv)  # k = -n on the shortest axis
-        for op in (sp, sm):
-            assert op.shape[1] == (2 * K + 1) ** 3
-            read = np.stack(np.unravel_index(op.indices, (2 * K + 1,) * 3),
-                            axis=-1) - K
-            # each column is a box point of the ball
-            assert np.all(np.sum((read * step) ** 2, axis=1) <= radius**2)
+        half = (2 * K + 1, 2 * K + 1, K + 1)
+        assert R.shape[1] == math.prod(half)
+        read = np.stack(np.unravel_index(R.indices, half), axis=-1) - [K, K, 0]
+        # each column of S+ and S- is a half-box point k3 >= 0 of the ball
+        assert np.all(read[:, 2] >= 0)
+        assert np.all(np.sum((read * step) ** 2, axis=1) <= radius**2)
+        # the output box is the smallest that holds every live row: each of
+        # its positions on each axis holds some live row
+        box = tuple(e.shape[1] for e in inverse[:2]) + (inverse[2].shape[0] // 2,)
+        rows = np.ravel(gather.sum(axis=1)).reshape(box)
+        for a in range(3):
+            assert np.all(rows.sum(axis=tuple({0, 1, 2} - {a})) > 0)
 
 
 class TestDirectGain:
@@ -901,3 +953,13 @@ class TestMaxwellian:
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError, match="temperature"):
             maxwellian(oracle_grid(), temperature=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"temperature": np.inf}, {"temperature": np.nan},
+        {"rho": np.inf}, {"rho": np.nan},
+        {"mean": (np.inf, 0.0, 0.0)}, {"mean": (0.0, np.nan, 0.0)}])
+    def test_rejects_non_finite_parameters(self, kwargs):
+        # an infinite temperature or mean gave an all-zero field, and NaN
+        # failed later as "non-finite samples"
+        with pytest.raises(ValueError, match="positive finite temperature"):
+            maxwellian(oracle_grid(), **kwargs)
