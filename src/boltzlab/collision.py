@@ -242,15 +242,15 @@ def _box_spectrum(chunk: np.ndarray, factors) -> np.ndarray:
 def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
     """(w, points, flip, conj, gather, inverse) of the live rows xi of the
     half lattice k3 <= n3/2 (FFT order) whose reads xi+ = xi - (xi.w)w and
-    xi- = (xi.w)w at a node w (weight w) both lie in the dealias ball.
-    points holds the reads, xi+ then xi-; flip marks those p with p3 < 0,
-    read at -p.  The rows run in four groups by (xi+, xi- flipped): (no,
-    no), (no, yes), (yes, yes), (yes, no), node after node; conj holds each
-    side's flipped slice.  The 0/1 CSR gather adds the rows, group after
-    group, into their xi on the box of the positions they take per axis;
-    inverse holds its factors exp(2 pi i v xi), the last as real and minus
-    imaginary rows times cell_xi and the irfft weights (1 on the DC and
-    Nyquist rows, else 2)."""
+    xi- = (xi.w)w at a node w both lie in the dealias ball; w returns each
+    row's node weight.  points holds the reads, xi+ then xi-; flip marks
+    those p with p3 < 0, read at -p.  The rows run in four groups by (xi+,
+    xi- flipped): (no, no), (no, yes), (yes, yes), (yes, no), node after
+    node; conj holds each side's flipped slice.  The 0/1 CSR gather adds
+    the rows, group after group, into their xi on the box of the positions
+    they take per axis; inverse holds its factors exp(2 pi i v xi), the
+    last as real and minus imaginary rows times cell_xi and the irfft
+    weights (1 on the DC and Nyquist rows, else 2)."""
     n3 = grid.nv[2]
     axes = [grid.xi_axis(0), grid.xi_axis(1), grid.xi_axis(2)[:n3 // 2 + 1]]
     half = (grid.nv[0], grid.nv[1], n3 // 2 + 1)
@@ -264,7 +264,7 @@ def _live_reads(grid: GridSpec, quad: SphereQuadrature, radius: float):
         reads.append((np.flatnonzero(live), xip[:, live], xim[:, live]))
     rows, xip, xim = (np.concatenate(r, axis=-1) for r in zip(*reads))
     flip = xip[2] < 0, xim[2] < 0
-    group = (flip[0] ^ flip[1]).view(np.int8) + 2 * flip[0].view(np.int8)
+    group = (flip[0] ^ flip[1]).view(np.int8) + 2 * flip[0].view(np.int8)  # 0-3 as above
     order = np.argsort(group, kind="stable")
     b1, b2, b3 = np.searchsorted(group[order], [1, 2, 3])
     both = np.concatenate((order, order + rows.size))
@@ -385,7 +385,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     fd, gd = (h.data.real.reshape((nxtot,) + grid.nv) for h in (f, g))
     out = np.empty((nxtot, nvtot))
 
-    # a half box spectrum row holds at most about 8 Nv float64 (margin 0)
+    # per x row: at most about 8 Nv float64 of half box spectrum (margin 0)
     for sl in blocks(nxtot, 16 * nvtot):
         rows = sl.stop - sl.start
         if trilinear:
@@ -399,7 +399,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         else:
             a = (w * _trig_read(fd[sl], vaxes, points[:live], -1.0, grid.cell_v)).T
             b = _trig_read(gd[sl], vaxes, points[live:], -1.0, grid.cell_v).T
-        for side, at in zip((a, b), conj):  # the reads at p from those at -p
+        for side, at in zip((a, b), conj):  # conj(read at -p) = read at p
             np.conjugate(side[at], out=side[at])
         a *= b
         # the live rows into their xi on the output box, then its inverse:
