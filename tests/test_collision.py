@@ -478,8 +478,8 @@ class TestGainOperators:
     @pytest.mark.parametrize("nv", [(8, 4, 2), (4, 2, 8), (2, 8, 4)])
     def test_two_point_axis_inverts_the_half_rows(self, nv, margin):
         # unequal axes with a 2-point one: where it is the last axis its DC
-        # and Nyquist rows are the whole half, so every row of the inverse
-        # has weight 1 there and 2 on the 4- and 8-point last axes
+        # and Nyquist rows are the whole half, so every half row weighs 1,
+        # while a 4- or 8-point last axis weighs its inner rows 2
         grid = GridSpec((2, 1, 1), nv, Lx=1.0, Lv=4.0)
         rng = np.random.default_rng(52)
         f = x_varying(smooth_blob(grid, rng), rng)
