@@ -11,22 +11,20 @@ The objects built here are closed-form fields on R^3 x R^3:
     solves d_t f_r = -f_r rho_b exactly,
   * their sum f_a and the five-term residual it leaves in the full equation.
 
-Everything is evaluated from the radial bump tables in `bump`; the only
-numerics are low-dimensional quadratures and table lookups, so point
-evaluation stays cheap even with 65536 tubes.  f_b, its grid sampler and the
-sharpness probe's psi_hat share one candidate search, `TubeFamily.candidates`
-(a dense pass over all J directions in `grids.blocks`, so every temporary
-stays within the package's 2 MiB block budget, with each block's live pairs
-read off its flat mask), and one support factor, `TubeFamily.support`, taken
-only at the live (point, tube) pairs.  rho_b needs every tube at every
-point; its blocked dense sum reuses one set of work buffers per call and
-reads the smear tables into them, uniform from 0, by index arithmetic with
+Everything is evaluated from the radial bump tables in `bump`: low-dimensional
+quadratures and table lookups, cheap even with 65536 tubes.  f_b, its grid
+sampler and the sharpness probe's psi_hat share one candidate search,
+`TubeFamily.candidates` (a dense pass over all J directions in `grids.blocks`
+of the package's 2 MiB budget, each block's live pairs read off its flat
+mask), and one support factor, `TubeFamily.support`, taken only at the live
+(point, tube) pairs.  rho_b's blocked dense sum over every tube reuses one
+set of work buffers per call and reads the smear tables into them with
 `grids.uniform_read`.
 
-The cavity is one (x-sheet, v-factor) pair behind every gridded f_r consumer:
-f_r_to_grid takes their outer product, the residual's transport leak pairs
-the sheet's spectral gradient (`grids.x_derivatives`) with v times the
-v-factor, and the cavity norms sample the sheet on one padded box.
+On a grid, f_a lives on the v columns where chi(|v|/N) > 0 or a tube is live
+(25 of 512 on the residual benchmark's grid): one builder forms f_r, f_b and
+the transport leak there and each gridded field is expanded once.  The cavity
+norms sample the cavity's x-sheet on one padded box.
 
 Norms of the construction (weighted Sobolev and the Z norm) are computed
 semi-analytically: the tube velocity supports are pairwise disjoint on the
@@ -45,8 +43,8 @@ from scipy.spatial import cKDTree
 from .bump import chi, default_bump, gauss_on
 from .collision import FOUR_PI, fibonacci_sphere, gain_term_spectral
 from .grids import (GridSpec, PhaseField, Storage, _ft, _is_dyadic, axis_sum,
-                    blocks, lattice_read, lattice_stencil, uniform_read,
-                    x_derivatives)
+                    blocks, lattice_read, lattice_stencil, uniform_pairs,
+                    uniform_read, x_derivatives)
 
 __all__ = [
     "AnsatzParams",
@@ -281,6 +279,10 @@ class AnsatzParams:
     def amp_r(self) -> float:
         return self.M ** (1.5 - self.s) / self.N**1.5
 
+    @property
+    def rho_r_scale(self) -> float:  # rho_r over the cavity profile
+        return self.amp_r * self.N**3 * default_bump().integral_3d
+
 
 # ---------------------------------------------------------------------------
 # smear tables: the per-tube velocity integrals of the transported profile
@@ -395,6 +397,7 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     M=16 call drift by 1.2e-14 relative at the origin.
     """
     c2g, t2, c1g, t1 = _smear_at(t)
+    t2, t1 = uniform_pairs(t2), uniform_pairs(t1)  # built once per call
     X, lead = _as_points(x)
     out = np.zeros(X.shape[0])
 
@@ -471,8 +474,7 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
 def rho_r_eval(p: AnsatzParams, t: float, x, beta=None) -> np.ndarray:
     """Velocity average of the cavity field: closed form, no grid."""
     X, lead = _as_points(x)
-    scale = p.amp_r * p.N**3 * default_bump().integral_3d
-    return (scale * _cavity_profile(p, t, X, beta)).reshape(lead)
+    return (p.rho_r_scale * _cavity_profile(p, t, X, beta)).reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -638,66 +640,65 @@ def f_a_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid samplers (Full-storage samples on a grid of either storage; the tube
-# family touches only its live (v-node, tube) pairs)
+# grid samplers and the residual in the full equation, on the live v columns
+# (Full-storage samples on a grid of either storage)
 # ---------------------------------------------------------------------------
 
-def _cavity_parts(p: AnsatzParams, t: float, grid: GridSpec,
-                  beta) -> tuple[np.ndarray, np.ndarray]:
-    """The two factors of the cavity field on the grid: the x-sheet
-    amp exp(-beta(t, x)) chi(M|x|), shape grid.nx, and the v-factor
-    chi(|v|/N), shape grid.nv.  f_r is their outer product."""
-    sheet = p.amp_r * _cavity_profile(p, t, grid.x_points(), beta)
-    vfac = chi(np.linalg.norm(grid.v_points(), axis=1) / p.N)
-    return sheet.reshape(grid.nx), vfac.reshape(grid.nv)
+def _live_columns(p: AnsatzParams, t: float, grid: GridSpec, beta, cavity=True) -> tuple:
+    """(rho_r, cols, fr, fb, leak) of the ansatz on the grid.  The cavity
+    profile exp(-beta) chi(M|x|) is evaluated once at the x points (zero
+    without `cavity`), for rho_r and f_r's x-sheet amp_r times it.  cols:
+    the v columns where chi(|v|/N) > 0 or `TubeFamily.candidates` finds a
+    live tube; fr, fb: f_r and f_b there, (Nx, cols), each live pair adding
+    its x-sheet in candidate order; leak: v . grad_x f_r as (columns, block)
+    where chi(|v|/N) > 0, the sheet's `grids.x_derivatives` times v."""
+    X, V = grid.x_points(), grid.v_points()
+    profile = _cavity_profile(p, t, X, beta) if cavity else np.zeros(len(X))
+    vfac = chi(np.linalg.norm(V, axis=1) / p.N)
+    cav = np.flatnonzero(vfac > 0.0)
+    rows, tubes, w = p.tube.candidates(V)
+    cols = np.union1d(cav, rows)
+    sheet = p.amp_r * profile
+    fr = np.multiply.outer(sheet, vfac[cols])
+    fb = np.zeros_like(fr)
+    for k, iv, j, wk in zip(np.searchsorted(cols, rows), rows, tubes, w):
+        fb[:, k] += (p.amp_b * wk) * p.tube.support(X - t * V[iv], j, p.M, 1.0 / p.N2)
+    grad = np.stack([d.real.ravel() for d in x_derivatives(sheet.reshape(grid.nx), grid)])
+    return p.rho_r_scale * profile, cols, fr, fb, (cav, grad.T @ (V[cav].T * vfac[cav]))
+
+
+def _expand(grid: GridSpec, cols: np.ndarray, block: np.ndarray) -> PhaseField:
+    """The Full-storage field that is block on the v columns cols, else 0."""
+    grid = replace(grid, storage=Storage.Full)
+    data = np.zeros((block.shape[0], math.prod(grid.nv)))
+    data[:, cols] = block
+    return PhaseField(grid, data.reshape(grid.shape))
 
 
 def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
-    """Pointwise sample of the cavity field: the outer product of its parts."""
-    sheet, vfac = _cavity_parts(p, t, grid, beta)
-    return PhaseField(replace(grid, storage=Storage.Full),
-                      np.multiply.outer(sheet, vfac))
+    """Pointwise sample of the cavity field."""
+    _, cols, fr, _, _ = _live_columns(p, t, grid, beta)
+    return _expand(grid, cols, fr)
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
-    """Pointwise sample of the tube family.
-
-    One candidate search over all v-nodes finds the live (v-node, tube)
-    pairs (the tube velocity supports are disjoint, so a node has at most a
-    few), and each pair adds its x-sheet of the two spatial factors to one
-    (Nx, Nv) array.  v-nodes off the annulus stay exact zeros.
-    """
-    X, V = grid.x_points(), grid.v_points()
-    data = np.zeros((X.shape[0], V.shape[0]))
-    for iv, j, w in zip(*p.tube.candidates(V)):
-        data[:, iv] += (p.amp_b * w) * p.tube.support(X - t * V[iv], j, p.M,
-                                                      1.0 / p.N2)
-    grid = replace(grid, storage=Storage.Full)
-    return PhaseField(grid, data.reshape(grid.shape))
+    """Pointwise sample of the tube family."""
+    _, cols, _, fb, _ = _live_columns(p, t, grid, None, cavity=False)
+    return _expand(grid, cols, fb)
 
 
 def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of f_r + f_b on the grid."""
-    return f_r_to_grid(p, t, grid, beta=beta) + f_b_to_grid(p, t, grid)
+    _, cols, fr, fb, _ = _live_columns(p, t, grid, beta)
+    return _expand(grid, cols, fr + fb)
 
-
-# ---------------------------------------------------------------------------
-# the residual of the combined ansatz in the full equation
-# ---------------------------------------------------------------------------
 
 def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
                    beta=None) -> PhaseField:
-    """The cavity transport leak v . grad_x f_r on the grid: the sum over a
-    of (d_a sheet) (v_a chi(|v|/N)), one real (Nx, 3) @ (3, Nv) product of
-    the sheet's spectral derivatives (`grids.x_derivatives`, real for the
-    real sheet) and the v-factor."""
-    sheet, vfac = _cavity_parts(p, t, grid, beta)
-    grad = np.stack([d.real.ravel() for d in x_derivatives(sheet, grid)], 1)
-    grid = replace(grid, storage=Storage.Full)
-    out = grad @ (grid.v_points().T * vfac.reshape(-1))
-    return PhaseField(grid, out.reshape(grid.shape))
+    """The cavity transport leak v . grad_x f_r on the grid."""
+    return _expand(grid, *_live_columns(p, t, grid, beta)[4])
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -710,9 +711,8 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     rate rho_b (beta = int rho_b dt) while `loss_term` puts its loss against
     the tubes, not returned, at 4 pi f_r rho_b (an open question of
     convention: ROADMAP.md, "One loss convention").
-    The transport leak comes from the gradient of the cavity's x-sheet
-    (`transport_term`), the loss factors from the closed-form densities; the
-    gain term runs through the spectral collision kernel on the caller's grid.
+    One `_live_columns` call forms every closed-form term on the live v
+    columns; f_a (for the gain) and each output are expanded once.
     """
     if grid.storage is not Storage.Full:
         raise ValueError("f_err_terms requires Full storage: every term is a "
@@ -722,25 +722,18 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
             "grid does not resolve the tube cross-section: need >= 4 cells "
             f"across 1/M (cell {float(np.max(grid.dx)):.4g} vs {1.0 / p.M:.4g})")
 
-    fr = f_r_to_grid(p, t, grid, beta=beta)
-    fb = f_b_to_grid(p, t, grid)
-    fa = fr + fb
-
-    X = grid.x_points()
-    loss_r = FOUR_PI * rho_r_eval(p, t, X, beta=beta).reshape(grid.nx + (1, 1, 1))
-    loss_b = FOUR_PI * rho_b_eval(p, t, X).reshape(grid.nx + (1, 1, 1))
-
-    # f_a is freed after the gain; built after that, the transport leak
-    # raised the residual benchmark's peak RSS by 14 MiB (heap layout)
-    transport = transport_term(p, t, grid, beta=beta)
+    rho_r, cols, fr, fb, leak = _live_columns(p, t, grid, beta)
+    loss_r = FOUR_PI * rho_r[:, None]
+    loss_b = FOUR_PI * rho_b_eval(p, t, grid.x_points())[:, None]
+    fa = _expand(grid, cols, fr + fb)
     gain = gain_term_spectral(fa, fa, cfg)  # a fresh field: negate in place
     del fa
     np.negative(gain.data, out=gain.data)
     return [
-        ("transport_cavity", transport),
-        ("loss_tubes_cavity", PhaseField(grid, fb.data * loss_r)),
-        ("loss_cavity_cavity", PhaseField(grid, fr.data * loss_r)),
-        ("loss_tubes_tubes", PhaseField(grid, fb.data * loss_b)),
+        ("transport_cavity", _expand(grid, *leak)),
+        ("loss_tubes_cavity", _expand(grid, cols, fb * loss_r)),
+        ("loss_cavity_cavity", _expand(grid, cols, fr * loss_r)),
+        ("loss_tubes_tubes", _expand(grid, cols, fb * loss_b)),
         ("gain_full", gain),
     ]
 
@@ -788,7 +781,7 @@ def _cavity_on_box(p: AnsatzParams, q: float, t: float, beta
     r, wr = gauss_on(0.0, 1.0, 96)
     vsq = 4.0 * np.pi * p.N**3 * float(
         wr @ (chi(r) ** 2 * (1.0 + (p.N * r) ** 2) ** q * r**2))
-    return box, _cavity_parts(p, t, box, beta)[0], vsq
+    return box, p.amp_r * _cavity_profile(p, t, box.x_points(), beta).reshape(box.nx), vsq
 
 
 def f_r_sobolev_norm(p: AnsatzParams, q: float, t: float = 0.0,

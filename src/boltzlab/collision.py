@@ -385,8 +385,9 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
     fd, gd = (h.data.real.reshape((nxtot,) + grid.nv) for h in (f, g))
     out = np.empty((nxtot, nvtot))
 
-    # per x row: at most about 8 Nv float64 of half box spectrum (margin 0)
-    for sl in blocks(nxtot, 16 * nvtot):
+    # per x row, float64: box spectrum and reads of f (and of g), gather box, output
+    reads = (2 * R.shape[1] + 4 * live) * (1 if same else 2) if trilinear else 4 * live
+    for sl in blocks(nxtot, reads + 2 * gather.shape[0] + nvtot):
         rows = sl.stop - sl.start
         if trilinear:
             # one real read of the float64 view of the box spectra, f's
@@ -409,6 +410,7 @@ def gain_term_spectral(f: PhaseField, g: PhaseField,
         t = (e1 @ t).reshape(e0.shape[0], e1.shape[0], -1, rows).transpose(3, 0, 1, 2)
         np.matmul(np.ascontiguousarray(t).view(np.float64).reshape(-1, e2.shape[0]), e2,
                   out=out[sl].reshape(-1, e2.shape[1]))
+        del a, b, side  # free this block's reads before the next block reads
 
     return PhaseField(grid, out.reshape(grid.shape), FieldTag.Physical_xv)
 

@@ -373,23 +373,27 @@ def blocks(n: int, per_item: int) -> Iterator[slice]:
 # lattice reads
 # ---------------------------------------------------------------------------
 
+def uniform_pairs(table: np.ndarray) -> np.ndarray:
+    """`uniform_read`'s (A, B) pair of table, to pass in its place."""
+    return np.stack((np.append(table, 0.0), np.pad(np.diff(table), 1)))
+
+
 def uniform_read(u, table: np.ndarray, step: float, out=None,
                  work=None) -> np.ndarray:
     """Linear read of the samples table[k] at k * step (k = 0, 1, ...) at
     u >= 0, zero past the last sample: np.interp(u, step * arange(n), table,
     right=0) as A[c] + B[c] (s - c) at s = min(u / step, n) and c = ceil(s),
-    with A = (table, 0) and B = (0, diff(table), 0).  A read at a sample
-    returns it, and every read past the last one lands on the zero slot
-    c = n, so np.take needs no bounds check.  The read goes into out, with
-    work = (float64, intp) as scratch, all of u's shape and allocated when
-    not given; u is not written.  Unchecked: u must be finite and >= 0; any
-    other u reads wrong samples."""
+    with A = (table, 0) and B = (0, diff(table), 0), or its `uniform_pairs`.
+    A read at a sample returns it, and every read past the last one lands on
+    the zero slot c = n, so np.take needs no bounds check.  The read goes
+    into out, with work = (float64, intp) as scratch, all of u's shape and
+    allocated when not given; u is not written.  Unchecked: u must be
+    finite and >= 0; any other u reads wrong samples."""
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape) if out is None else out
     s, c = work or (np.empty(u.shape), np.empty(u.shape, np.intp))
-    ab = np.zeros((2, table.shape[0] + 1))
-    ab[0, :-1], ab[1, 1:-1] = table, np.diff(table)
-    np.minimum(np.multiply(u, 1.0 / step, out=s), table.shape[0], out=s)
+    ab = table if table.ndim == 2 else uniform_pairs(table)
+    np.minimum(np.multiply(u, 1.0 / step, out=s), ab.shape[1] - 1, out=s)
     np.copyto(c, np.ceil(s, out=out), casting="unsafe")
     s -= out
     np.take(ab[1], c, out=out, mode="clip")

@@ -38,7 +38,7 @@ from boltzlab.ansatz import (
     _smear,
 )
 from boltzlab.bump import default_bump, gauss_on
-from boltzlab.collision import CollisionConfig, SphereQuadrature
+from boltzlab.collision import CollisionConfig, SphereQuadrature, gain_term_spectral
 from boltzlab.grids import GridSpec, uniform_read
 from boltzlab.norms import z_norm
 from boltzlab.sharpness import sharpness_functions
@@ -527,6 +527,22 @@ class TestTubeDensity:
             tracemalloc.stop()
         assert peak <= 1.25 * grids._BLOCK * 8
 
+    def test_read_pairs_built_once_per_call(self, p16, monkeypatch):
+        # one (A, B) pair per smear table and call, not two per block: the
+        # 500 points below take hundreds of blocks of the M=16 directions
+        built, pairs = [], grids.uniform_pairs
+
+        def counted(table):
+            built.append(table.size)
+            return pairs(table)
+
+        monkeypatch.setattr(grids, "uniform_pairs", counted)
+        monkeypatch.setattr(ansatz, "uniform_pairs", counted)
+        x = np.random.default_rng(49).uniform(-1.0, 1.0, (500, 3)) / p16.M
+        rho_b_eval(p16, 0.5 * p16.t_star, x)
+        c2, _, c1, _ = _smear().at(0.0)
+        assert built == [c2.size, c1.size]
+
     def test_smear_tables_factorize_at_t0(self):
         # at tau=0 the transported correlations collapse onto the profile:
         # Psi2(c;0) = Phi2 chi(c), Psi1(c;0) = Phi1 chi(c)
@@ -846,7 +862,8 @@ class TestResidualTerms:
         def never(*args, **kwargs):
             raise AssertionError("called before the storage check")
 
-        for name in ("gain_term_spectral", "f_r_to_grid", "f_b_to_grid"):
+        for name in ("gain_term_spectral", "f_r_to_grid", "f_b_to_grid",
+                     "_live_columns"):
             monkeypatch.setattr(ansatz, name, never)
         # fine enough for the resolution guard, which runs after this check
         grid = GridSpec((8,) * 3, (4,) * 3, Lx=0.9 / p4.M, Lv=1.25 * p4.N2,
@@ -903,8 +920,10 @@ class TestResidualTerms:
         assert np.max(np.abs(got.imag)) <= 1e-14 * scale
 
     def test_traced_peak_within_eight_real_fields(self, p4):
-        # f_r, f_b and the five outputs are float64 fields, f_a freed once
-        # the gain has read it: 7.2 fields at the peak (8.2 with f_a kept)
+        # f_r, f_b and the loss products are (Nx, live v columns) blocks and
+        # f_a is freed once the gain has read it, so the peak is the five
+        # float64 outputs and little more: 5.3 fields (7.2 when f_r and f_b
+        # were full fields, under a bound of 8)
         grid = GridSpec((16,) * 3, (4,) * 3, Lx=1.9 / p4.M, Lv=1.25 * p4.N2)
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
         f_err_terms(p4, -0.05, grid, cfg)  # caches the gain operators
@@ -915,7 +934,63 @@ class TestResidualTerms:
         finally:
             tracemalloc.stop()
         assert [f.data.dtype for _, f in terms] == [np.float64] * 5
-        assert peak <= 8 * grid.total_points * 8
+        assert peak <= 5.5 * grid.total_points * 8
+
+    def test_uncached_terms_run_beta_once(self, p4, monkeypatch):
+        # one cavity profile serves f_r, the transport leak and rho_r
+        calls, beta_eval = [], ansatz.beta_eval
+
+        def counted(p, t, x, *args, **kwargs):
+            calls.append(t)
+            return beta_eval(p, t, x, *args, **kwargs)
+
+        monkeypatch.setattr(ansatz, "beta_eval", counted)
+        grid = GridSpec((16,) * 3, (4,) * 3, Lx=1.9 / p4.M, Lv=1.25 * p4.N2)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        f_err_terms(p4, -0.05, grid, cfg)
+        assert calls == [-0.05]
+
+    @pytest.mark.parametrize("Lv", [5.0, 0.3])
+    def test_five_fields_match_a_dense_reference(self, p4, caches, Lv):
+        # f_r and f_b by the pointwise evaluators on the whole (Nx, Nv)
+        # arrays, the closed-form densities, the spectral gain of their sum
+        # and v . grad_x f_r by the 6-D x-transform of the dense f_r (each
+        # axis's Nyquist frequency given symbol 0).  Lv = 5 = 1.25 N2 is the
+        # residual's v-grid, where f_b has many columns; at Lv = 0.3 several
+        # v nodes lie in the cavity ball and the transport leak is not zero
+        _, cache = caches[4]
+        grid = GridSpec((8,) * 3, (8,) * 3, Lx=0.95 / p4.M, Lv=Lv)
+        t = 0.5 * p4.t_star
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8))
+        X, V = grid.x_points(), grid.v_points()
+        fr = f_r_eval(p4, t, X[:, None], V[None], beta=cache).reshape(grid.shape)
+        fb = f_b_eval(p4, t, X[:, None], V[None]).reshape(grid.shape)
+        lead = grid.nx + (1, 1, 1)
+        loss_r = 4 * np.pi * rho_r_eval(p4, t, X, beta=cache).reshape(lead)
+        loss_b = 4 * np.pi * rho_b_eval(p4, t, X).reshape(lead)
+        fa = grids.PhaseField(grid, fr + fb)
+        sym = grids.eta_dot_v(grid)
+        for a in range(3):
+            nyq = grid.eta_axis(a) * (np.arange(grid.nx[a]) == grid.nx[a] // 2)
+            sym = sym - grids.on_axes(np.outer(nyq, grid.v_axis(a)), (a, 3 + a), 6)
+        spec = grids.transform(grids.PhaseField(grid, fr), "x", "forward")
+        leak = grids.transform(
+            grids.PhaseField(grid, 2j * np.pi * sym * spec.data, spec.tag),
+            "x", "inverse").data.real
+        want = {"transport_cavity": leak, "loss_tubes_cavity": fb * loss_r,
+                "loss_cavity_cavity": fr * loss_r, "loss_tubes_tubes": fb * loss_b,
+                "gain_full": -gain_term_spectral(fa, fa, cfg).data}
+        terms = f_err_terms(p4, t, grid, cfg, beta=cache)
+        assert [name for name, _ in terms] == list(want)
+        for name, field in terms:
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(field.data - want[name])) <= 1e-12 * scale, name
+        columns = np.count_nonzero(np.any(fb != 0.0, axis=(0, 1, 2)))
+        moving = np.max(np.abs(leak))
+        if Lv == 5.0:
+            assert columns >= 20 and moving == 0.0
+        else:
+            assert columns == 0 and moving > 0.0
 
     def test_transport_zero_on_residual_grid(self, p4, caches):
         # chi(|v|/N) vanishes at every v node but v = 0, where v . grad_x f = 0

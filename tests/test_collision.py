@@ -625,9 +625,9 @@ class TestGainOperators:
         cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(8),
                               interpolation=interp)
         whole = gain_term_spectral(f, g, cfg).data
-        # three x rows per block at 16 Nv float64 each (the gain's budget
-        # per x row): 22 blocks; the Trig reads then take 64 points per
-        # block
+        # at this budget the trilinear reads of f and g take two x rows per
+        # block (32 blocks), the Trig path seven (10 blocks), whose reads
+        # then take 27 points per block
         monkeypatch.setattr(grids, "_BLOCK", 3 * 16 * 512)
         blocked = gain_term_spectral(f, g, cfg).data
         assert np.array_equal(blocked, whole)
@@ -646,6 +646,24 @@ class TestGainOperators:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * out.data.nbytes
+
+    def test_traced_peak_counts_the_reads(self):
+        # on a 16^3 v-grid with 64 nodes the stacked reads of one x row are
+        # 33 Nv float64: a block sized by its box spectrum alone held four
+        # rows of them (traced peak 9.6 MB); counted, the second call stays
+        # within one block budget plus the input and output fields
+        grid = GridSpec((2, 2, 2), (16, 16, 16), Lx=1.0, Lv=6.0)
+        rng = np.random.default_rng(50)
+        f = x_varying(smooth_blob(grid, rng), rng)
+        cfg = CollisionConfig(quadrature=SphereQuadrature.fibonacci(64))
+        gain_term_spectral(f, f, cfg)  # caches the operators
+        tracemalloc.start()
+        try:
+            out = gain_term_spectral(f, f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grids._BLOCK + f.data.nbytes + out.data.nbytes
 
 
 class TestBoxSpectrum:

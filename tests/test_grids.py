@@ -23,7 +23,8 @@ from boltzlab import (
 )
 from boltzlab import grids
 from boltzlab.grids import (axis_sum, blocks, eta_dot_v, lattice_read,
-                            lattice_stencil, on_axes, uniform_read)
+                            lattice_stencil, on_axes, uniform_pairs,
+                            uniform_read)
 from boltzlab.norms import mixed_norm, xsb_norm
 
 
@@ -195,6 +196,17 @@ class TestUniformRead:
         assert got.shape == u.shape
         np.testing.assert_allclose(
             got, np.interp(u, grid, table, right=0.0), rtol=0, atol=1e-15)
+
+
+    def test_pairs_read_like_their_table(self):
+        # the (A, B) pair built once reads bit for bit what the table reads
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal(57)
+        u = rng.uniform(0.0, 1.2, (30, 20))
+        pairs = uniform_pairs(table)
+        assert pairs.shape == (2, 58)
+        np.testing.assert_array_equal(uniform_read(u, pairs, 0.02),
+                                      uniform_read(u, table, 0.02))
 
 
 class TestFiniteness:
