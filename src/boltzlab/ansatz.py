@@ -21,10 +21,11 @@ mask), and one support factor, `TubeFamily.support`, taken only at the live
 set of work buffers per call and reads the smear tables into them with
 `grids.uniform_read`.
 
-On a grid, f_a lives on the v columns where chi(|v|/N) > 0 or a tube is live
-(25 of 512 on the residual benchmark's grid): one builder forms f_r, f_b and
-the transport leak there and each gridded field is expanded once.  The cavity
-norms sample the cavity's x-sheet on one padded box.
+On a grid, f_r and its transport leak live on the v columns where
+chi(|v|/N) > 0, f_b on those where a tube is live (1 and 24 of 512 on the
+residual benchmark's grid): one builder per piece forms it there, and each
+gridded field is expanded once from its pieces.  The cavity norms sample the
+cavity's x-sheet on one padded box.
 
 Norms of the construction (weighted Sobolev and the Z norm) are computed
 semi-analytically: the tube velocity supports are pairwise disjoint on the
@@ -191,9 +192,9 @@ class AnsatzParams:
     """All scales of the tube/cavity construction, with derived quantities.
 
     Invariants enforced at build: N <= 1/M, delta in (0, 1/4) with
-    delta <= 2(s - 1/2), mu >= delta, and the attenuation window condition
-    N2^(1-s) >= M^delta.  Derived: s0 = s - ln ln M / ln M and
-    t_star = -delta (M N2)^(s-1) ln M.
+    delta <= 2(s - 1/2), mu = log N2 / log M >= delta (N2 defaults to M), and
+    the attenuation window condition N2^(1-s) >= M^delta.  Derived: s0 =
+    s - ln ln M / ln M and t_star = -delta (M N2)^(s-1) ln M.
     """
 
     tube: TubeFamily
@@ -204,16 +205,13 @@ class AnsatzParams:
 
     @classmethod
     def make(cls, M: int = 8, s: float = 0.75, delta: float = 0.2,
-             mu: float = 1.0, N: float | None = None,
-             N2: int | None = None) -> "AnsatzParams":
+             N: float | None = None, N2: int | None = None) -> "AnsatzParams":
         if not (_is_dyadic(M) and M >= 4):
             raise ValueError("M must be a dyadic integer >= 4")
         if not 0.5 < s < 1.0:
             raise ValueError("regularity s must lie in (1/2, 1)")
-        if not math.isfinite(mu):
-            raise ValueError(f"mu must be finite, got {mu}")
         if N2 is None:
-            N2 = 2 ** int(round(mu * math.log2(M)))
+            N2 = M
         mu = math.log2(N2) / math.log2(M)
         tube = _tube_family(int(M), int(N2))
         if N is None:
@@ -326,11 +324,11 @@ class _TubeSmear:
 
     def at(self, t: float) -> tuple[np.ndarray, ...]:
         """(c2 grid, Psi2(.; t), c1 grid, Psi1(.; t/10)): each table's tau
-        columns blended linearly at |tau|."""
+        columns blended linearly at |tau|, for |t| <= 1/4."""
+        if not abs(t) <= 0.25 + 1e-12:
+            raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
         out = ()
         for (c, tau_grid, table), tau in zip(self.tables, (abs(t), abs(t) / 10.0)):
-            if not tau <= tau_grid[-1] + 1e-12:
-                raise ValueError("smear table tau out of range")
             stencil = lattice_stencil(np.array([[tau]]), 0.0, tau_grid[1], tau_grid.shape)
             out += (c, lattice_read(table, stencil)[:, 0])
         return out
@@ -375,14 +373,6 @@ def f_b_eval(p: AnsatzParams, t: float, x, v) -> np.ndarray:
     return (p.amp_b * out).reshape(lead)
 
 
-def _smear_at(t: float) -> tuple[np.ndarray, ...]:
-    """(c2 grid, Psi2, c1 grid, Psi1) of the smear tables blended at time t,
-    which must lie on rho_b's standing window |t| <= 1/4."""
-    if not abs(t) <= 0.25 + 1e-12:
-        raise ValueError(f"standing time window requires |t| <= 1/4, got time t={t}")
-    return _smear().at(t)
-
-
 def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     """Velocity average of the tube field at (t, x); x broadcast as (..., 3).
 
@@ -396,7 +386,7 @@ def rho_b_eval(p: AnsatzParams, t: float, x) -> np.ndarray:
     with Kahan compensation: plain sums over the 631 blocks of a 500-point
     M=16 call drift by 1.2e-14 relative at the origin.
     """
-    c2g, t2, c1g, t1 = _smear_at(t)
+    c2g, t2, c1g, t1 = _smear().at(t)
     t2, t1 = uniform_pairs(t2), uniform_pairs(t1)  # built once per call
     X, lead = _as_points(x)
     out = np.zeros(X.shape[0])
@@ -447,7 +437,7 @@ def rho_b_radial(p: AnsatzParams, t: float, r) -> np.ndarray:
     is far inside the first angular zero, so the average is close to the
     direct tube sum that uncached `beta_eval` integrates.
     """
-    c2g, t2, c1g, t1 = _smear_at(t)
+    c2g, t2, c1g, t1 = _smear().at(t)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all((r >= 0.0) & (r < math.inf)):
         raise ValueError("radii r must be finite and >= 0")
@@ -640,65 +630,71 @@ def f_a_eval(p: AnsatzParams, t: float, x, v, beta=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid samplers and the residual in the full equation, on the live v columns
-# (Full-storage samples on a grid of either storage)
+# grid samplers and the residual in the full equation, each piece on its own
+# live v columns (Full-storage samples on a grid of either storage)
 # ---------------------------------------------------------------------------
 
-def _live_columns(p: AnsatzParams, t: float, grid: GridSpec, beta, cavity=True) -> tuple:
-    """(rho_r, cols, fr, fb, leak) of the ansatz on the grid.  The cavity
-    profile exp(-beta) chi(M|x|) is evaluated once at the x points (zero
-    without `cavity`), for rho_r and f_r's x-sheet amp_r times it.  cols:
-    the v columns where chi(|v|/N) > 0 or `TubeFamily.candidates` finds a
-    live tube; fr, fb: f_r and f_b there, (Nx, cols), each live pair adding
-    its x-sheet in candidate order; leak: v . grad_x f_r as (columns, block)
-    where chi(|v|/N) > 0, the sheet's `grids.x_derivatives` times v."""
+def _cavity_columns(p: AnsatzParams, t: float, grid: GridSpec, beta) -> tuple:
+    """(rho_r, (cav, fr), (cav, leak)) of the cavity on the grid.  The profile
+    exp(-beta) chi(M|x|) is evaluated once at the x points, for rho_r and
+    f_r's x-sheet amp_r times it.  cav: the v columns where chi(|v|/N) > 0;
+    fr: f_r there, (Nx, cav); leak: v . grad_x f_r there, the sheet's
+    `grids.x_derivatives` times v."""
     X, V = grid.x_points(), grid.v_points()
-    profile = _cavity_profile(p, t, X, beta) if cavity else np.zeros(len(X))
+    profile = _cavity_profile(p, t, X, beta)
     vfac = chi(np.linalg.norm(V, axis=1) / p.N)
     cav = np.flatnonzero(vfac > 0.0)
-    rows, tubes, w = p.tube.candidates(V)
-    cols = np.union1d(cav, rows)
     sheet = p.amp_r * profile
-    fr = np.multiply.outer(sheet, vfac[cols])
-    fb = np.zeros_like(fr)
-    for k, iv, j, wk in zip(np.searchsorted(cols, rows), rows, tubes, w):
-        fb[:, k] += (p.amp_b * wk) * p.tube.support(X - t * V[iv], j, p.M, 1.0 / p.N2)
     grad = np.stack([d.real.ravel() for d in x_derivatives(sheet.reshape(grid.nx), grid)])
-    return p.rho_r_scale * profile, cols, fr, fb, (cav, grad.T @ (V[cav].T * vfac[cav]))
+    return (p.rho_r_scale * profile, (cav, np.multiply.outer(sheet, vfac[cav])),
+            (cav, grad.T @ (V[cav].T * vfac[cav])))
 
 
-def _expand(grid: GridSpec, cols: np.ndarray, block: np.ndarray) -> PhaseField:
-    """The Full-storage field that is block on the v columns cols, else 0."""
+def _tube_columns(p: AnsatzParams, t: float, grid: GridSpec) -> tuple:
+    """(cols, fb) of the tube family on the grid: cols, the v columns where
+    `TubeFamily.candidates` finds a live tube; fb: f_b there, (Nx, cols),
+    each live pair adding its x-sheet in candidate order."""
+    X, V = grid.x_points(), grid.v_points()
+    rows, tubes, w = p.tube.candidates(V)
+    cols, at = np.unique(rows, return_inverse=True)
+    fb = np.zeros((len(X), cols.size))
+    for k, iv, j, wk in zip(at, rows, tubes, w):
+        fb[:, k] += (p.amp_b * wk) * p.tube.support(X - t * V[iv], j, p.M, 1.0 / p.N2)
+    return cols, fb
+
+
+def _expand(grid: GridSpec, *parts: tuple[np.ndarray, np.ndarray]) -> PhaseField:
+    """The Full-storage field that is each (cols, block) part on its v
+    columns, else 0; each is assigned, as no two parts share a column: the
+    cavity has |v| < N <= 1/M <= 1/4, the tube annulus |v| >= 0.9 N2 >= 1.8."""
     grid = replace(grid, storage=Storage.Full)
-    data = np.zeros((block.shape[0], math.prod(grid.nv)))
-    data[:, cols] = block
+    data = np.zeros((math.prod(grid.nx), math.prod(grid.nv)))
+    for cols, block in parts:
+        data[:, cols] = block
     return PhaseField(grid, data.reshape(grid.shape))
 
 
 def f_r_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of the cavity field."""
-    _, cols, fr, _, _ = _live_columns(p, t, grid, beta)
-    return _expand(grid, cols, fr)
+    return _expand(grid, _cavity_columns(p, t, grid, beta)[1])
 
 
 def f_b_to_grid(p: AnsatzParams, t: float, grid: GridSpec) -> PhaseField:
     """Pointwise sample of the tube family."""
-    _, cols, _, fb, _ = _live_columns(p, t, grid, None, cavity=False)
-    return _expand(grid, cols, fb)
+    return _expand(grid, _tube_columns(p, t, grid))
 
 
 def f_a_to_grid(p: AnsatzParams, t: float, grid: GridSpec,
                 beta=None) -> PhaseField:
     """Pointwise sample of f_r + f_b on the grid."""
-    _, cols, fr, fb, _ = _live_columns(p, t, grid, beta)
-    return _expand(grid, cols, fr + fb)
+    return _expand(grid, _cavity_columns(p, t, grid, beta)[1], _tube_columns(p, t, grid))
 
 
 def transport_term(p: AnsatzParams, t: float, grid: GridSpec,
                    beta=None) -> PhaseField:
     """The cavity transport leak v . grad_x f_r on the grid."""
-    return _expand(grid, *_live_columns(p, t, grid, beta)[4])
+    return _expand(grid, _cavity_columns(p, t, grid, beta)[2])
 
 
 def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
@@ -711,8 +707,8 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
     rate rho_b (beta = int rho_b dt) while `loss_term` puts its loss against
     the tubes, not returned, at 4 pi f_r rho_b (an open question of
     convention: ROADMAP.md, "One loss convention").
-    One `_live_columns` call forms every closed-form term on the live v
-    columns; f_a (for the gain) and each output are expanded once.
+    Each piece's builder runs once, forming its closed-form terms on its own
+    live v columns; f_a (for the gain) and each output are expanded once.
     """
     if grid.storage is not Storage.Full:
         raise ValueError("f_err_terms requires Full storage: every term is a "
@@ -722,18 +718,19 @@ def f_err_terms(p: AnsatzParams, t: float, grid: GridSpec, cfg,
             "grid does not resolve the tube cross-section: need >= 4 cells "
             f"across 1/M (cell {float(np.max(grid.dx)):.4g} vs {1.0 / p.M:.4g})")
 
-    rho_r, cols, fr, fb, leak = _live_columns(p, t, grid, beta)
+    rho_r, (cav, fr), leak = _cavity_columns(p, t, grid, beta)
+    cols, fb = _tube_columns(p, t, grid)
     loss_r = FOUR_PI * rho_r[:, None]
     loss_b = FOUR_PI * rho_b_eval(p, t, grid.x_points())[:, None]
-    fa = _expand(grid, cols, fr + fb)
+    fa = _expand(grid, (cav, fr), (cols, fb))
     gain = gain_term_spectral(fa, fa, cfg)  # a fresh field: negate in place
     del fa
     np.negative(gain.data, out=gain.data)
     return [
-        ("transport_cavity", _expand(grid, *leak)),
-        ("loss_tubes_cavity", _expand(grid, cols, fb * loss_r)),
-        ("loss_cavity_cavity", _expand(grid, cols, fr * loss_r)),
-        ("loss_tubes_tubes", _expand(grid, cols, fb * loss_b)),
+        ("transport_cavity", _expand(grid, leak)),
+        ("loss_tubes_cavity", _expand(grid, (cols, fb * loss_r))),
+        ("loss_cavity_cavity", _expand(grid, (cav, fr * loss_r))),
+        ("loss_tubes_tubes", _expand(grid, (cols, fb * loss_b))),
         ("gain_full", gain),
     ]
 

@@ -233,6 +233,8 @@ class BumpProfile:
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
         rho = np.abs(np.asarray(rho, dtype=float))
+        if np.isnan(rho).any():
+            raise ValueError("frequency rho must not be NaN")
         out = np.zeros(rho.shape)
         small = rho < self.rho_min
         mid = (~small) & (rho <= self.rho_max)
@@ -380,6 +382,8 @@ class TimeCutoff:
 
     def hat(self, a) -> np.ndarray:
         a = np.abs(np.asarray(a, dtype=float))
+        if np.isnan(a).any():
+            raise ValueError("frequency a must not be NaN")
         out = np.zeros(a.shape)
         m = a <= self.a_max
         if np.any(m):

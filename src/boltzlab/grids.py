@@ -479,18 +479,16 @@ def _ift(data: np.ndarray, axes: tuple[int, ...], cell: float,
 
 
 def transform(field: PhaseField, axes: str, direction: str) -> PhaseField:
-    """Forward/inverse FT on the x axes, the v axes, or both.
+    """Forward/inverse FT on the x axes or the v axes.
 
     Forward on x maps Physical -> Spectral_eta (samples of the continuum FT);
     inverse undoes it exactly.  Raises "redundant transform" if the requested
     axis group is already in the requested representation.
     """
-    if axes not in ("x", "v", "both"):
-        raise ValueError("axes must be 'x', 'v', or 'both'")
+    if axes not in ("x", "v"):
+        raise ValueError("axes must be 'x' or 'v'")
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    if axes == "both":
-        return transform(transform(field, "x", direction), "v", direction)
 
     grid = field.grid
     bit = 1 if axes == "x" else 2  # the axis group's FieldTag bit

@@ -94,12 +94,11 @@ def field_info(path: str) -> dict:
     }
 
 
-def load_field(path: str, full_cap: int | None = None) -> PhaseField:
+def load_field(path: str) -> PhaseField:
     """Read a KLB1 file into memory; header is validated before the payload."""
     info = field_info(path)  # raises on magic/size/endianness problems
     nx, nv = info["nx"], info["nv"]
-    kwargs = {} if full_cap is None else {"full_cap": full_cap}
-    grid = GridSpec(nx, nv, info["Lx"], info["Lv"], storage=Storage.Full, **kwargs)
+    grid = GridSpec(nx, nv, info["Lx"], info["Lv"], storage=Storage.Full)
     with open(path, "rb") as fh:
         fh.seek(HEADER.size)
         flat = np.fromfile(fh, dtype="<c16", count=info["samples"])

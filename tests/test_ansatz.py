@@ -167,11 +167,6 @@ class TestAnsatzParams:
         with pytest.raises(ValueError, match="attenuation window"):
             AnsatzParams.make(M=16, N2=2, delta=0.2)
 
-    @pytest.mark.parametrize("mu", [math.nan, math.inf])
-    def test_rejects_non_finite_mu(self, mu):
-        with pytest.raises(ValueError, match="mu must be finite"):
-            AnsatzParams.make(M=4, mu=mu)
-
     def test_s0_increases_toward_s(self):
         rows = [AnsatzParams.make(M=16),
                 AnsatzParams.make(M=64, N2=8, delta=0.1),
@@ -767,6 +762,34 @@ class TestGridSamplers:
         overlap = np.abs(fb.data) * np.abs(fr.data)
         assert float(np.max(overlap)) == 0.0
 
+    def test_each_sampler_builds_only_its_piece(self, p4, caches, monkeypatch):
+        # f_r and the transport leak never search the tubes, and f_b never
+        # evaluates the cavity or its x-derivatives; the outputs are the
+        # same as with every builder in place.  Lv = 0.3 puts several v
+        # nodes in the cavity ball, so the leak is not zero; Lv = 1.25 N2
+        # is the residual's v-grid, where f_b has many columns
+        _, cache = caches[4]
+        cavity = GridSpec((8,) * 3, (8,) * 3, Lx=0.95 / p4.M, Lv=0.3)
+        tubes = GridSpec((8,) * 3, (8,) * 3, Lx=0.95 / p4.M, Lv=1.25 * p4.N2)
+        t = 0.5 * p4.t_star
+        want = [f_r_to_grid(p4, t, cavity, beta=cache).data,
+                transport_term(p4, t, cavity, beta=cache).data,
+                f_b_to_grid(p4, t, tubes).data]
+        assert all(np.any(w) for w in want)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the other piece's builder ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(ansatz.TubeFamily, "candidates", never)
+            assert np.array_equal(f_r_to_grid(p4, t, cavity, beta=cache).data, want[0])
+            assert np.array_equal(transport_term(p4, t, cavity, beta=cache).data,
+                                  want[1])
+        with monkeypatch.context() as m:
+            m.setattr(ansatz, "x_derivatives", never)
+            m.setattr(ansatz, "_cavity_profile", never)
+            assert np.array_equal(f_b_to_grid(p4, t, tubes).data, want[2])
+
 
 # ---------------------------------------------------------------------------
 # semi-analytic norms
@@ -863,7 +886,7 @@ class TestResidualTerms:
             raise AssertionError("called before the storage check")
 
         for name in ("gain_term_spectral", "f_r_to_grid", "f_b_to_grid",
-                     "_live_columns"):
+                     "_cavity_columns", "_tube_columns"):
             monkeypatch.setattr(ansatz, name, never)
         # fine enough for the resolution guard, which runs after this check
         grid = GridSpec((8,) * 3, (4,) * 3, Lx=0.9 / p4.M, Lv=1.25 * p4.N2,

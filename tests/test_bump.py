@@ -296,3 +296,14 @@ class TestTimeCutoff:
         assert "hat_table" not in tc.__dict__
         tc.hat(0.4)
         assert "hat_table" in tc.__dict__
+
+
+@pytest.mark.parametrize("hat, name", [
+    pytest.param(lambda a: default_bump().hat(a, 2), "rho", id="BumpProfile"),
+    pytest.param(lambda a: default_cutoff().hat(a), "a", id="TimeCutoff"),
+])
+def test_hat_refuses_nan_frequency(hat, name):
+    # a NaN frequency is an error, not 0; infinity reads the limit 0
+    with pytest.raises(ValueError, match=f"frequency {name} must not be NaN"):
+        hat(np.array([0.4, np.nan]))
+    assert np.array_equal(hat(np.array([np.inf, -np.inf])), [0.0, 0.0])
